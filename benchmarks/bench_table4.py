@@ -1,4 +1,4 @@
-"""Table IV benchmark: distributed Louvain on G_Basic + the per-community
+"""Table IV benchmark: Louvain on G_Basic + the per-community
 table (stations old/new, trips within/out/in)."""
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Table V benchmark: distributed Louvain on G_Day + the per-community
+"""Table V benchmark: Louvain on G_Day + the per-community
 table (stations old/new, trips within/out/in)."""
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Table VI benchmark: distributed Louvain on G_Hour + the per-community
+"""Table VI benchmark: Louvain on G_Hour + the per-community
 table (stations old/new, trips within/out/in)."""
 from __future__ import annotations
 

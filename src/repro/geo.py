@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -126,9 +126,3 @@ def nearest_station(
         .withColumn(f"{out_col}_dist_m", F.col("__best.__dist"))
         .drop("__best")
     )
-
-
-def assert_session(spark: SparkSession) -> None:
-    """Cheap guard used by pipeline entry points."""
-    if spark is None:  # pragma: no cover - defensive
-        raise ValueError("a SparkSession is required")

@@ -116,16 +116,6 @@ def graph_stats(trips: DataFrame) -> GraphStats:
     )
 
 
-def directed_weighted_edges(trips: DataFrame) -> DataFrame:
-    """Directed aggregated edges ``(src, dst, weight=#trips)``."""
-    return (
-        trips.groupBy(
-            F.col("src_group").alias("src"), F.col("dst_group").alias("dst")
-        )
-        .agg(F.count(F.lit(1)).cast("double").alias("weight"))
-    )
-
-
 def temporal_graph(trips: DataFrame, granularity: str) -> Graph:
     """The symmetric weighted station graph at one temporal granularity
     (see module docstring). Node ids are group ids (strings)."""

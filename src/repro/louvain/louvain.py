@@ -1,294 +1,156 @@
-"""Distributed Louvain community detection on Spark DataFrames.
+"""Louvain community detection on the driver, in numpy.
 
-Implements the two-phase Louvain scheme (paper refs [27], [34]) as a
-GraphX-style dataflow:
+Implements the two-phase Louvain scheme (paper refs [27], [34]). The
+station graphs it runs on have a few hundred vertices and at most ~10^4
+symmetric edges, so the caller collects the level-0 edge list once and
+every level runs over integer arrays with ``np.unique``/``bincount``/
+``lexsort``; Spark stays with the trip-scale work that builds the graph.
 
-* **Local moving** — every round, the edge-scale work (the per-vertex,
-  per-neighbour-community weight aggregation ``w_ic`` and the modularity
-  gain ranking) runs distributed in Catalyst: one join of the edge table
-  against the broadcast assignment plus two hash aggregations. The O(V)
-  per-vertex state (assignment, degrees, community totals) rides the
-  driver between rounds as plain dicts and re-enters each round's plan as
-  fresh ``LocalRelation`` leaves — the role of a Pregel superstep barrier.
+* **Local moving** is synchronous: every round scores each vertex against
+  the community assignment of the previous round, then applies all moves
+  at once. For vertex ``i`` and neighbouring community ``c`` the gain is
+  ``w_ic - k_i * tot_adj / (2m)``, where ``tot_adj`` is the community's
+  total degree without ``i``. The best candidate has the largest gain,
+  ties going to the smaller community id. A vertex with no neighbour in
+  its own community scores ``-k_i * (tot - k_i) / (2m)`` for staying; it
+  moves only if its best gain beats the stay score by more than ``TOL``.
 
-  Two deliberate consequences:
-
-  - no round builds on the previous round's *query plan*, which defeats a
-    Catalyst pathology where ``localCheckpoint`` preserves size statistics
-    and the BigInt size estimate compounds multiplicatively per round
-    (digit count grows exponentially; stats estimation ends up dominating
-    runtime);
-  - per-vertex state must fit on the driver — the same requirement the
-    broadcast-join formulation already imposed, and far beyond this
-    paper's scale (and GraphX's own Louvain ports do the same for the
-    community-total exchange).
-
-* **Swap safety** — fully parallel greedy moving lets two vertices swap
+* **Swap safety** — fully synchronous moving lets two vertices swap
   communities forever (each sees a positive gain against the *old*
-  assignment). Rounds alternate move direction: even rounds only allow
-  moves to a smaller community id, odd rounds to a larger one. A swap
-  needs both directions simultaneously, so it cannot occur, while any
-  merge remains reachable within two rounds.
+  assignment; Lu, Halappanavar & Kalyanaraman 2015 discuss the
+  oscillation). Rounds alternate move direction: even rounds only allow
+  moves to a community id ≤ the vertex's own, odd rounds ≥. A swap needs
+  both directions at once, so it cannot occur, while any merge remains
+  reachable within two rounds. A level stops after two quiet rounds or
+  ``MAX_ROUNDS``.
 
-* **Aggregation** — communities are contracted into super-nodes
-  (distributed join + aggregation), intra-community weight becomes a
-  self-loop, and the process recurses until a level yields no modularity
-  improvement.
+* **Aggregation** — communities are contracted into super-nodes whose id
+  is the community label, intra-community weight becomes a self-loop, and
+  the process recurses until a level improves modularity by no more than
+  ``TOL`` (at most ``MAX_LEVELS`` levels).
 
-Vertex ids must be integral (cast to long); use
-:func:`repro.louvain.louvain.index_vertices` to map arbitrary ids first.
-
-Input graphs must be in symmetric form (:meth:`Graph.symmetrize`): each
-undirected non-loop edge in both directions, self-loops once.
+Vertices are ``0..n-1``. Edges are in symmetric form
+(:meth:`repro.graph.graph.Graph.symmetrize`): each undirected non-loop edge
+in both directions, self-loops once.
 """
 from __future__ import annotations
 
-import sys
-import time
-from collections import defaultdict
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import numpy as np
 
-from repro.graph.graph import DST, SRC, WEIGHT, Graph
-from repro.louvain.modularity import modularity
+TOL = 1e-7
+MAX_ROUNDS = 40
+MAX_LEVELS = 10
 
 
 @dataclass(frozen=True)
 class LouvainResult:
-    """``assignment`` maps every original vertex id to a community label
-    (0..k-1, stable: labels ordered by the minimum vertex id they contain).
-    ``levels`` is the number of aggregation levels executed."""
+    """``community[v]`` is the label of vertex ``v`` (0..k-1, ordered by
+    each community's minimum member). ``levels`` is the number of
+    aggregation levels that improved modularity."""
 
-    assignment: DataFrame
+    community: np.ndarray
     modularity: float
     levels: int
 
 
-def index_vertices(vertices: DataFrame, *, id_col: str = "id") -> DataFrame:
-    """Deterministic (id -> dense long index) mapping: ``(id, idx)``,
-    indices assigned in sorted-id order."""
-    from pyspark.sql.window import Window
+def modularity(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+               community: np.ndarray) -> float:
+    """Modularity Q (paper eq. 2) of ``community`` (vertex -> label) on the
+    symmetric edge list ``src``/``dst``/``weight``. A self-loop of weight w
+    counts 2w towards its vertex's degree and w towards m."""
+    loop = src == dst
+    m = weight[~loop].sum() / 2.0 + weight[loop].sum()
+    if m == 0.0:
+        return 0.0
+    k = np.where(loop, 2.0 * weight, weight)
+    c_src = community[src]
+    intra = c_src == community[dst]
+    tot = np.bincount(c_src, weights=k)
+    inn = np.bincount(c_src[intra], weights=k[intra], minlength=len(tot))
+    return float(np.sum(inn / (2.0 * m) - (tot / (2.0 * m)) ** 2))
 
-    w = Window.orderBy(F.col(id_col))
-    return vertices.select(id_col).distinct().withColumn(
-        "idx", F.row_number().over(w).cast("long") - 1
-    )
 
-
-def louvain(
-    g: Graph,
-    *,
-    tol: float = 1e-7,
-    max_local_iter: int = 40,
-    max_levels: int = 10,
-    verbose: bool = False,
-) -> LouvainResult:
-    """Run Louvain on the symmetric graph ``g`` and return the final
-    assignment of original vertices plus the achieved modularity."""
-    spark = g.edges.sparkSession
-
-    def _log(msg: str) -> None:
-        if verbose:
-            print(f"[louvain] {msg} t={time.time():.1f}", file=sys.stderr)
-
-    edges = (
-        g.edges.select(
-            F.col(SRC).cast("long").alias(SRC),
-            F.col(DST).cast("long").alias(DST),
-            F.col(WEIGHT).cast("double").alias(WEIGHT),
-        )
-        .localCheckpoint()
-    )
-    vids = [r["id"] for r in g.vertices.select(F.col("id").cast("long")).distinct().collect()]
-    # origin -> current super-node, carried on the driver (O(V))
-    mapping = {v: v for v in vids}
-
-    assign_df = _assign_df(spark, {v: v for v in vids})
-    best_q = modularity(Graph(assign_df.select("id"), edges), assign_df)
-    _log(f"initial Q={best_q:.4f}")
+def louvain(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int) -> LouvainResult:
+    """Run Louvain on the symmetric graph over vertices ``0..n-1``. Vertices
+    without edges stay singletons."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weight = np.asarray(weight, dtype=np.float64)
+    mapping = np.arange(n)  # original vertex -> current super-node
+    best_q = modularity(src, dst, weight, mapping)
     levels = 0
-    for _level in range(max_levels):
-        comm, moved_any = _local_moving(
-            spark, edges, tol=tol, max_iter=max_local_iter, verbose=verbose
-        )
-        _log(f"level {_level} local moving done moved_any={moved_any}")
-        if not moved_any:
+    for _ in range(MAX_LEVELS):
+        comm, moved = _local_moving(src, dst, weight, n)
+        if not moved:
             break
-        assign_df = _assign_df(spark, comm)
-        q = modularity(Graph(assign_df.select("id"), edges), assign_df)
-        _log(f"level {_level} Q={q:.4f}")
-        if q <= best_q + tol:
+        q = modularity(src, dst, weight, comm)
+        if q <= best_q + TOL:
             break
         best_q = q
         levels += 1
-        # isolated vertices never enter `comm`; they stay as singletons
-        mapping = {orig: comm.get(sup, sup) for orig, sup in mapping.items()}
-        edges = _aggregate(edges, assign_df).localCheckpoint()
-        _log(f"level {_level} aggregated")
+        mapping = comm[mapping]
+        src, dst, weight = _aggregate(src, dst, weight, comm, n)
 
-    # Relabel to consecutive ints ordered by minimum member vertex id.
-    by_comm: dict = defaultdict(list)
-    for v, c in mapping.items():
-        by_comm[c].append(v)
-    order = sorted(by_comm, key=lambda c: min(by_comm[c]))
-    label = {c: i for i, c in enumerate(order)}
-    assignment = spark.createDataFrame(
-        [(v, label[c]) for v, c in sorted(mapping.items())],
-        schema="id long, community long",
-    )
-    return LouvainResult(assignment=assignment, modularity=best_q, levels=levels)
+    # relabel 0..k-1 in order of each community's minimum member
+    _, first, inverse = np.unique(mapping, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return LouvainResult(community=rank[inverse], modularity=best_q, levels=levels)
 
 
-# ----------------------------------------------------------------------
-# phases
-# ----------------------------------------------------------------------
-
-def _assign_df(spark: SparkSession, comm: dict) -> DataFrame:
-    return spark.createDataFrame(
-        [(int(v), int(c)) for v, c in sorted(comm.items())],
-        schema="id long, community long",
-    )
-
-
-def _local_moving(
-    spark: SparkSession,
-    edges: DataFrame,
-    *,
-    tol: float,
-    max_iter: int,
-    verbose: bool = False,
-) -> tuple[dict, bool]:
-    """Parallel local-moving phase over the level's vertex set (every id
-    appearing in ``edges``). Returns (vertex -> community dict, whether any
-    vertex ever moved)."""
-    is_loop = F.col(SRC) == F.col(DST)
-    k_rows = (
-        edges.groupBy(F.col(SRC).alias("id"))
-        .agg(
-            F.sum(
-                F.when(is_loop, 2.0 * F.col(WEIGHT)).otherwise(F.col(WEIGHT))
-            ).alias("k")
-        )
-        .collect()
-    )
-    k = {r["id"]: float(r["k"]) for r in k_rows}
-    m = sum(k.values()) / 2.0
-    comm = {v: v for v in k}
-    if m <= 0.0:
+def _local_moving(src, dst, weight, n) -> tuple[np.ndarray, bool]:
+    """One level's synchronous local moving over the vertices that have
+    edges. Returns (vertex -> community, whether any vertex moved)."""
+    loop = src == dst
+    k = np.bincount(src, weights=np.where(loop, 2.0 * weight, weight), minlength=n)
+    two_m = k.sum()
+    comm = np.arange(n)
+    if two_m <= 0.0:
         return comm, False
-    k_df = spark.createDataFrame(
-        [(int(v), kv) for v, kv in sorted(k.items())], schema="id long, k double"
-    )
-    nonloop = edges.filter(~is_loop)
+    s, d, w = src[~loop], dst[~loop], weight[~loop]
 
     moved_any = False
-    stable_rounds = 0
-    for it in range(max_iter):
-        t0 = time.time()
-        sigma = defaultdict(float)
-        for v, c in comm.items():
-            sigma[c] += k[v]
-        assign_df = _assign_df(spark, comm)
-        sigma_df = spark.createDataFrame(
-            [(int(c), t) for c, t in sorted(sigma.items())],
-            schema="c long, tot double",
-        )
-        # w_ic: weight from vertex i to community c over non-loop edges —
-        # the distributed, edge-scale aggregation of the round.
-        nbr_c = assign_df.select(F.col("id").alias(DST), F.col("community").alias("c"))
-        w_ic = (
-            nonloop.join(F.broadcast(nbr_c), DST)
-            .groupBy(F.col(SRC).alias("id"), "c")
-            .agg(F.sum(WEIGHT).alias("w_ic"))
-        )
-        direction = (
-            (F.col("c") <= F.col("community"))
-            if it % 2 == 0
-            else (F.col("c") >= F.col("community"))
-        )
-        cand = (
-            w_ic.join(F.broadcast(assign_df), "id")
-            .join(F.broadcast(k_df), "id")
-            .join(F.broadcast(sigma_df), "c")
-            .filter(direction)
-            .withColumn(
-                "tot_adj",
-                F.col("tot")
-                - F.when(F.col("c") == F.col("community"), F.col("k")).otherwise(0.0),
-            )
-            .withColumn(
-                "gain", F.col("w_ic") - F.col("k") * F.col("tot_adj") / F.lit(2.0 * m)
-            )
-        )
-        best = cand.groupBy("id", "community").agg(
-            F.max(F.struct(F.col("gain"), (-F.col("c")).alias("negc"))).alias("b"),
-            F.max(
-                F.when(F.col("c") == F.col("community"), F.col("gain"))
-            ).alias("stay_gain_nbr"),
-        )
-        # The stay score when i has no (direction-allowed) neighbour in its
-        # own community is 0 - k_i * (tot_cu - k_i)/(2m); vertices with no
-        # allowed candidates at all simply do not move this round.
-        moves = (
-            best.join(F.broadcast(k_df), "id")
-            .join(
-                F.broadcast(sigma_df.withColumnRenamed("c", "community")), "community"
-            )
-            .withColumn(
-                "stay_gain",
-                F.coalesce(
-                    F.col("stay_gain_nbr"),
-                    -F.col("k") * (F.col("tot") - F.col("k")) / F.lit(2.0 * m),
-                ),
-            )
-            .filter(
-                (F.col("b.gain") > F.col("stay_gain") + F.lit(tol))
-                & ((-F.col("b.negc")) != F.col("community"))
-            )
-            .select("id", (-F.col("b.negc")).alias("new_c"))
-            .collect()  # O(movers) rows back to the driver
-        )
-        for r in moves:
-            comm[r["id"]] = int(r["new_c"])
-        if verbose:
-            print(
-                f"[louvain] round {it} moved={len(moves)} ({time.time() - t0:.2f}s)",
-                file=sys.stderr,
-            )
-        if moves:
+    quiet = 0
+    for it in range(MAX_ROUNDS):
+        tot = np.bincount(comm, weights=k, minlength=n)
+        # w_ic: weight from vertex i to each neighbouring community c
+        keys, inverse = np.unique(s * n + comm[d], return_inverse=True)
+        w_ic = np.bincount(inverse, weights=w)
+        i, c = keys // n, keys % n
+        own = comm[i]
+        allowed = c <= own if it % 2 == 0 else c >= own
+        i, c, own, w_ic = i[allowed], c[allowed], own[allowed], w_ic[allowed]
+        tot_adj = tot[c] - np.where(c == own, k[i], 0.0)
+        gain = w_ic - k[i] * tot_adj / two_m
+
+        stay = -k * (tot[comm] - k) / two_m
+        at_home = c == own
+        stay[i[at_home]] = gain[at_home]
+        # best candidate per vertex: max gain, ties to the smaller c
+        order = np.lexsort((c, -gain, i))
+        i, c, gain = i[order], c[order], gain[order]
+        head = np.diff(i, prepend=-1) != 0
+        i, c, gain = i[head], c[head], gain[head]
+        movers = (gain > stay[i] + TOL) & (c != comm[i])
+        if movers.any():
+            comm[i[movers]] = c[movers]
             moved_any = True
-            stable_rounds = 0
+            quiet = 0
         else:
-            stable_rounds += 1
+            quiet += 1
             # both move directions must pass a quiet round before stopping
-            if stable_rounds >= 2:
+            if quiet >= 2:
                 break
     return comm, moved_any
 
 
-def _aggregate(edges: DataFrame, assign_df: DataFrame) -> DataFrame:
-    """Contract communities into super-nodes, preserving the symmetric-form
-    invariants (inter edges in both directions, loops once)."""
-    a_src = assign_df.select(F.col("id").alias(SRC), F.col("community").alias("c_src"))
-    a_dst = assign_df.select(F.col("id").alias(DST), F.col("community").alias("c_dst"))
-    e = edges.join(F.broadcast(a_src), SRC).join(F.broadcast(a_dst), DST)
-    is_loop = F.col(SRC) == F.col(DST)
-    # Intra: symmetric non-loop pairs appear twice -> w/2 each; loops once -> w.
-    loops = (
-        e.filter(F.col("c_src") == F.col("c_dst"))
-        .groupBy(F.col("c_src").alias(SRC))
-        .agg(
-            F.sum(F.when(is_loop, F.col(WEIGHT)).otherwise(F.col(WEIGHT) / 2.0)).alias(
-                WEIGHT
-            )
-        )
-        .withColumn(DST, F.col(SRC))
-    )
-    inter = (
-        e.filter(F.col("c_src") != F.col("c_dst"))
-        .groupBy(F.col("c_src").alias(SRC), F.col("c_dst").alias(DST))
-        .agg(F.sum(WEIGHT).alias(WEIGHT))
-    )
-    return inter.select(SRC, DST, WEIGHT).unionByName(loops.select(SRC, DST, WEIGHT))
+def _aggregate(src, dst, weight, comm, n):
+    """Contract communities into super-nodes named by their label, keeping
+    the symmetric form: inter edges in both directions, loops once (a
+    symmetric intra pair appears twice, so each copy adds w/2)."""
+    c_src, c_dst = comm[src], comm[dst]
+    w = np.where((c_src == c_dst) & (src != dst), weight / 2.0, weight)
+    keys, inverse = np.unique(c_src * n + c_dst, return_inverse=True)
+    return keys // n, keys % n, np.bincount(inverse, weights=w)

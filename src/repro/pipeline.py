@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -20,10 +21,9 @@ from repro.graph.builder import (
     temporal_graph,
     trips_with_groups,
 )
-from repro.graph.graph import Graph
+from repro.graph.graph import DST, SRC, WEIGHT, Graph
 from repro.hac.cluster import CandidateResult, build_candidates
-from repro.louvain.louvain import LouvainResult, index_vertices, louvain
-from repro.louvain.modularity import modularity
+from repro.louvain.louvain import LouvainResult, louvain
 from repro.moby.cleaning import CleanResult, clean
 from repro.moby.generator import MobyConfig, MobyData, generate, paper_config
 from repro.stations.selection import SelectionResult, select_stations
@@ -54,29 +54,21 @@ class PipelineResult:
     communities: dict = field(default_factory=dict)  # granularity -> CommunityRun
 
 
-def louvain_groups(g: Graph, *, seed_cols=("id",), **kw) -> tuple[DataFrame, float]:
-    """Run Louvain on a graph whose vertex ids are strings (group ids):
-    index to longs, detect, map back. Returns ((group_id, community), Q)."""
-    idx = index_vertices(g.vertices).cache()
-    e = (
-        g.edges.join(idx.withColumnRenamed("id", "src"), "src")
-        .withColumnRenamed("idx", "src_idx")
-        .join(idx.withColumnRenamed("id", "dst"), "dst")
-        .withColumnRenamed("idx", "dst_idx")
-        .select(
-            F.col("src_idx").alias("src"),
-            F.col("dst_idx").alias("dst"),
-            "weight",
-        )
+def louvain_groups(g: Graph) -> tuple[DataFrame, LouvainResult]:
+    """Run Louvain on a station graph whose vertex ids are strings (group
+    ids): collect its symmetric edges, index the ids in sorted order and
+    detect on the driver. The vertex set is the edges' endpoints, which is
+    every vertex of a :func:`temporal_graph`. Returns the
+    ``(group_id, community)`` frame and the result over the indices."""
+    e = g.edges.select(SRC, DST, WEIGHT).toPandas()
+    ids, index = np.unique(np.concatenate([e[SRC], e[DST]]), return_inverse=True)
+    src, dst = np.split(index, 2)
+    res = louvain(src, dst, e[WEIGHT].to_numpy(), len(ids))
+    assignment = g.edges.sparkSession.createDataFrame(
+        list(zip(ids.tolist(), res.community.tolist())),
+        schema="group_id string, community long",
     )
-    v = idx.select(F.col("idx").alias("id"))
-    res = louvain(Graph(v, e), **kw)
-    assignment = (
-        res.assignment.withColumnRenamed("id", "idx")
-        .join(idx, "idx")
-        .select(F.col("id").alias("group_id"), "community")
-    )
-    return assignment, res.modularity
+    return assignment, res
 
 
 def run_pipeline(
@@ -130,7 +122,7 @@ def run_communities(result: PipelineResult, granularity: str) -> CommunityRun:
     """Louvain + community table for one temporal granularity of the
     selected graph."""
     g = temporal_graph(result.selected_trips, granularity)
-    assignment, q = louvain_groups(g)
+    assignment, res = louvain_groups(g)
     assignment = assignment.cache()
     table = community_table(
         assignment, result.station_kinds, result.selected_trips
@@ -138,8 +130,8 @@ def run_communities(result: PipelineResult, granularity: str) -> CommunityRun:
     return CommunityRun(
         granularity=granularity,
         assignment=assignment,
-        modularity=q,
-        n_communities=assignment.select("community").distinct().count(),
-        intra_share=intra_community_share(assignment, result.selected_trips),
+        modularity=res.modularity,
+        n_communities=len(np.unique(res.community)),
+        intra_share=intra_community_share(table),
         table=table,
     )

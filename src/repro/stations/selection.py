@@ -31,7 +31,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.geo import haversine_np, nearest_station
-from repro.graph.graph import Graph
 
 SECONDARY_DISTANCE_M = 250.0
 

@@ -67,8 +67,9 @@ def test_community_table_oracle(frames):
 
 
 def test_intra_share(frames):
-    assignment, _, trips = frames
-    assert intra_community_share(assignment, trips) == pytest.approx(4 / 8)
+    assignment, kinds, trips = frames
+    table = community_table(assignment, kinds, trips)
+    assert intra_community_share(table) == pytest.approx(4 / 8)
 
 
 def test_community_table_totals_are_consistent(frames):

@@ -1,14 +1,11 @@
-"""Unit tests for the property-graph layer (repro.graph.graph /
-aggregate): construction, symmetrisation, degrees, message passing."""
+"""Unit tests for the property-graph layer (repro.graph.graph):
+construction and symmetrisation."""
 from __future__ import annotations
 
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.aggregate import aggregate_messages, triplets
 from repro.graph.graph import Graph, graph_from_edges
-from repro.oracle import assert_equivalent
 
 
 def _edges_df(spark, rows):
@@ -35,18 +32,13 @@ def test_graph_requires_columns(spark):
 def test_graph_from_edges_vertex_set(spark):
     g = graph_from_edges(_edges_df(spark, [(1, 2, 1.0), (3, 3, 1.0)]))
     assert {r["id"] for r in g.vertices.collect()} == {1, 2, 3}
-    assert g.num_edges() == 2
+    assert g.edges.count() == 2
 
 
 def test_graph_from_edges_defaults_weight(spark):
     df = spark.createDataFrame([(1, 2)], "src long, dst long")
     g = graph_from_edges(df)
     assert g.edges.collect()[0]["weight"] == 1.0
-
-
-def test_counts(small_graph):
-    assert small_graph.num_vertices() == 4
-    assert small_graph.num_edges() == 4
 
 
 def test_symmetrize_non_loop_weights(small_graph):
@@ -67,71 +59,3 @@ def test_symmetrize_total_mass(small_graph):
     nonloop = sym.edges.filter(F.col("src") != F.col("dst")).agg(F.sum("weight")).collect()[0][0]
     loops = sym.edges.filter(F.col("src") == F.col("dst")).agg(F.sum("weight")).collect()[0][0]
     assert nonloop / 2 + loops == pytest.approx((2.0 + 1.0 + 1.0) + 4.0)
-
-
-@pytest.mark.parametrize("weighted", [False, True])
-def test_out_in_degrees(small_graph, weighted):
-    outd = {r["id"]: r["degree"] for r in small_graph.out_degrees(weighted=weighted).collect()}
-    ind = {r["id"]: r["degree"] for r in small_graph.in_degrees(weighted=weighted).collect()}
-    if weighted:
-        assert outd == {1: 2.0, 2: 2.0, 3: 4.0, 4: 0.0}
-        assert ind == {1: 1.0, 2: 2.0, 3: 5.0, 4: 0.0}
-    else:
-        assert outd == {1: 1, 2: 2, 3: 1, 4: 0}
-        assert ind == {1: 1, 2: 1, 3: 2, 4: 0}
-
-
-def test_total_degrees_count_loops_twice(small_graph):
-    d = {r["id"]: r["degree"] for r in small_graph.degrees(weighted=True).collect()}
-    assert d == {1: 3.0, 2: 4.0, 3: 9.0, 4: 0.0}
-
-
-def test_degrees_oracle(spark, small_graph):
-    got = small_graph.degrees(weighted=True).select("id", F.col("degree").alias("deg"))
-    edges_pdf = small_graph.edges.toPandas()
-    verts_pdf = small_graph.vertices.toPandas()
-    sql = """
-    SELECT v.id AS id, COALESCE(SUM(w), 0.0) AS deg FROM verts v
-    LEFT JOIN (
-      SELECT src AS id, weight AS w FROM edges
-      UNION ALL
-      SELECT dst AS id, weight AS w FROM edges
-    ) e ON v.id = e.id
-    GROUP BY v.id
-    """
-    assert_equivalent(got, sql, edges=edges_pdf, verts=verts_pdf)
-
-
-def test_aggregate_messages_sum_to_dst(small_graph):
-    msgs = aggregate_messages(small_graph, to_dst=lambda e: F.col("weight"))
-    got = {r["id"]: r["msg"] for r in msgs.collect()}
-    assert got == {1: 1.0, 2: 2.0, 3: 5.0}
-
-
-def test_aggregate_messages_both_directions(small_graph):
-    msgs = aggregate_messages(
-        small_graph,
-        to_dst=lambda e: F.col("weight"),
-        to_src=lambda e: F.col("weight"),
-    )
-    got = {r["id"]: r["msg"] for r in msgs.collect()}
-    # equals weighted total degree for vertices with edges
-    assert got == {1: 3.0, 2: 4.0, 3: 9.0}
-
-
-def test_aggregate_messages_custom_agg(small_graph):
-    msgs = aggregate_messages(small_graph, to_dst=lambda e: F.col("weight"), agg=F.max)
-    got = {r["id"]: r["msg"] for r in msgs.collect()}
-    assert got == {1: 1.0, 2: 2.0, 3: 4.0}
-
-
-def test_aggregate_messages_requires_direction(small_graph):
-    with pytest.raises(ValueError):
-        aggregate_messages(small_graph)
-
-
-def test_triplets_attaches_vertex_attrs(spark):
-    v = spark.createDataFrame([(1, "a"), (2, "b")], "id long, tag string")
-    e = _edges_df(spark, [(1, 2, 1.0)])
-    t = triplets(Graph(v, e)).collect()[0]
-    assert t["src_tag"] == "a" and t["dst_tag"] == "b"
