@@ -3,8 +3,8 @@
 The paper (eq. 1) measures all distances with the Haversine formula on a
 spherical Earth. Two implementations are provided: a Spark ``Column``
 expression (used inside joins/aggregations so distance math stays in
-Catalyst) and a vectorised numpy version (used inside ``applyInPandas``
-workers by the exact HAC and in tests as an independent check).
+Catalyst) and a vectorised numpy version (used on the driver by the exact
+HAC and Algorithm 1, and in tests as an independent check).
 
 Also provided: a geo-grid bucketing scheme used to turn "all pairs within
 eps metres" into an equi-join on cell ids, and nearest-station assignment

@@ -82,37 +82,22 @@ class GraphStats:
 
 def graph_stats(trips: DataFrame) -> GraphStats:
     """Count nodes/edges/trips of the (multi)graph induced by ``trips``
-    (columns ``src_group``/``dst_group``), with and without self-loops."""
-    pairs = trips.groupBy("src_group", "dst_group").count().cache()
-    directed = pairs.count()
-    loops = pairs.filter(F.col("src_group") == F.col("dst_group")).count()
-    undirected = (
-        pairs.select(
-            F.least("src_group", "dst_group").alias("a"),
-            F.greatest("src_group", "dst_group").alias("b"),
-        )
-        .distinct()
-        .count()
-    )
-    undirected_loops = (
-        pairs.filter(F.col("src_group") == F.col("dst_group"))
-        .select("src_group").distinct().count()
-    )
-    nodes = (
-        trips.select(F.col("src_group").alias("g"))
-        .unionByName(trips.select(F.col("dst_group").alias("g")))
-        .distinct()
-        .count()
-    )
-    n_trips = trips.count()
-    pairs.unpersist()
+    (columns ``src_group``/``dst_group``), with and without self-loops.
+
+    One Spark job counts the trips per directed group pair; that table has
+    at most a few thousand rows (~16k at SF=1), so the measures are derived
+    from it on the driver."""
+    pairs = trips.groupBy("src_group", "dst_group").count().toPandas()
+    src, dst = pairs["src_group"], pairs["dst_group"]
+    loops = int((src == dst).sum())
+    undirected = len({(min(u, v), max(u, v)) for u, v in zip(src, dst)})
     return GraphStats(
-        n_nodes=nodes,
+        n_nodes=len(set(src) | set(dst)),
         undirected_edges=undirected,
-        undirected_edges_no_loops=undirected - undirected_loops,
-        directed_edges=directed,
-        directed_edges_no_loops=directed - loops,
-        n_trips=n_trips,
+        undirected_edges_no_loops=undirected - loops,
+        directed_edges=len(pairs),
+        directed_edges_no_loops=len(pairs) - loops,
+        n_trips=int(pairs["count"].sum()),
     )
 
 

@@ -1,63 +1,59 @@
-"""Connected components via iterative min-label message passing.
+"""Connected components, labelled on the driver.
 
-The HAC stage (and, in tests, the Louvain validation) needs connected
-components of the 100 m proximity graph. This is the classic Pregel
-formulation: every vertex starts labelled with its own id; each round every
-vertex adopts the minimum label among itself and its neighbours; stop when
-no label changes. Rounds = O(component diameter), which for geographic
-eps-graphs is small.
+The HAC stage needs the connected components of the 100 m proximity graph
+of the locations that are not near a station: a few thousand vertices in a
+few hundred small components, far too small to be a distributed workload.
+:func:`connected_components` collects the vertex ids and the edges once and
+labels them in numpy with :func:`component_labels`.
 
-Labels propagate in both edge directions, so the input may be directed —
-components are computed on the underlying undirected graph.
+Edges are taken as undirected, so the input may be directed.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql.types import StructField, StructType
 
 from repro.graph.graph import DST, SRC, Graph
 
 
-def connected_components(g: Graph, *, max_iter: int = 50) -> DataFrame:
-    """Return ``(id, component)`` where ``component`` is the minimum vertex
-    id in the component. Raises if not converged within ``max_iter``."""
-    labels = g.vertices.select("id", F.col("id").alias("component")).localCheckpoint()
-    edges = (
-        g.edges.select(SRC, DST)
-        .filter(F.col(SRC) != F.col(DST))
-        .distinct()
-        .cache()
+def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Label vertices ``0..n-1`` of the undirected graph with edges
+    ``src[i] -- dst[i]`` by the smallest vertex of their component.
+
+    Min-label propagation with pointer jumping: every vertex starts with
+    its own label; each round pulls both endpoints of every edge down to
+    the smaller of their labels, then replaces every label by its label's
+    label until that changes nothing. A label only ever falls and always
+    names a vertex of the same component, so the loop ends, and it ends
+    only when every edge joins equal labels, i.e. at the component minima.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        new = label.copy()
+        np.minimum.at(new, src, low)
+        np.minimum.at(new, dst, low)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def connected_components(g: Graph) -> DataFrame:
+    """Return ``(id, component)`` for every vertex of ``g``, isolated ones
+    included, where ``component`` is the minimum vertex id in the
+    component. Every edge endpoint must be a vertex."""
+    ids = np.unique(g.vertices.select("id").toPandas()["id"].to_numpy())
+    ends = g.edges.select(SRC, DST).toPandas().to_numpy()
+    if not np.isin(ends, ids).all():
+        raise ValueError("every edge endpoint must be a vertex id")
+    src, dst = np.searchsorted(ids, ends).T
+    # ids are sorted, so the smallest index of a component is its min id
+    component = ids[component_labels(len(ids), src, dst)]
+    field = g.vertices.schema["id"]
+    schema = StructType([field, StructField("component", field.dataType, field.nullable)])
+    return g.vertices.sparkSession.createDataFrame(
+        list(zip(ids.tolist(), component.tolist())), schema
     )
-    for _ in range(max_iter):
-        # candidate label for dst = label(src), and vice versa
-        lsrc = labels.select(F.col("id").alias(SRC), F.col("component").alias("__l"))
-        ldst = labels.select(F.col("id").alias(DST), F.col("component").alias("__l"))
-        incoming = (
-            edges.join(lsrc, SRC).select(F.col(DST).alias("id"), "__l")
-            .unionByName(edges.join(ldst, DST).select(F.col(SRC).alias("id"), "__l"))
-            .groupBy("id")
-            .agg(F.min("__l").alias("__nbr_min"))
-        )
-        new_labels = (
-            labels.join(incoming, "id", "left")
-            .select(
-                "id",
-                F.least(
-                    F.col("component"), F.coalesce(F.col("__nbr_min"), F.col("component"))
-                ).alias("component"),
-            )
-            .localCheckpoint()  # cut lineage each round
-        )
-        changed = (
-            new_labels.alias("n")
-            .join(labels.alias("o"), "id")
-            .filter(F.col("n.component") != F.col("o.component"))
-            .limit(1)
-            .count()
-        )
-        labels = new_labels
-        if changed == 0:
-            edges.unpersist()
-            return labels
-    edges.unpersist()
-    raise RuntimeError(f"connected_components did not converge in {max_iter} iterations")

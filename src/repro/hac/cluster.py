@@ -7,11 +7,14 @@ Pipeline:
    clustering; stations are immovable group centroids.
 2. **eps decomposition** — the remaining locations are split into
    connected components of the 100 m proximity graph (distributed grid
-   join + message-passing components). Complete-linkage clusters with
-   diameter <= 100 m are always subsets of such components, so this
-   decomposition is *lossless*.
-3. **Exact HAC** — complete-linkage clustering with the 100 m diameter
-   cutoff runs per component via ``applyInPandas``.
+   join in Spark, components labelled on the driver). Complete-linkage
+   clusters with diameter <= 100 m are always subsets of such components,
+   so this decomposition is *lossless*.
+3. **Exact HAC** — the free locations are collected once with their
+   component (a few thousand points in components of at most ~100) and
+   complete-linkage clustering with the 100 m diameter cutoff runs per
+   component on the driver, each component sorted by location id so the
+   result does not depend on row order.
 4. **Centroids** — each candidate cluster is represented by the mean of
    its member coordinates; station groups by the station coordinate.
 
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -73,29 +75,24 @@ def build_candidates(
     )
     verts = free.select(F.col("location_id").alias("id"))
     comp = connected_components(Graph(verts, edges))
-    comp_pts = free.join(
-        comp.withColumnRenamed("id", "location_id"), "location_id"
+    # The collect hands rows over in partition order; sorting makes the
+    # linkage's tie-breaks and cluster numbering depend on the ids alone.
+    pdf = (
+        free.join(comp.withColumnRenamed("id", "location_id"), "location_id")
+        .toPandas()
+        .sort_values(["component", "location_id"], ignore_index=True)
     )
-
-    def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
+    group_id: list[str] = []
+    for comp_id, c in pdf.groupby("component", sort=False):
         labels = complete_linkage_labels(
-            pdf["lat"].to_numpy(), pdf["lon"].to_numpy(),
-            max_diameter_m=max_diameter_m,
+            c["lat"].to_numpy(), c["lon"].to_numpy(), max_diameter_m=max_diameter_m
         )
-        comp_id = int(pdf["component"].iloc[0])
-        return pd.DataFrame(
-            {
-                "location_id": pdf["location_id"].to_numpy(),
-                "group_id": [f"C{comp_id}#{l}" for l in labels],
-            }
-        )
+        group_id.extend(f"C{comp_id}#{k}" for k in labels)
 
-    clustered = comp_pts.groupBy("component").applyInPandas(
-        _cluster, schema="location_id long, group_id string"
-    )
-    candidate_assigned = clustered.select(
-        "location_id", "group_id", F.lit("candidate").alias("kind")
-    )
+    candidate_assigned = locations.sparkSession.createDataFrame(
+        list(zip(pdf["location_id"].tolist(), group_id)),
+        schema="location_id long, group_id string",
+    ).select("location_id", "group_id", F.lit("candidate").alias("kind"))
     # localCheckpoint (not cache): downstream stages reference this frame
     # many times and nest it inside further joins — materialising here
     # keeps their logical plans shallow (a cache does not truncate lineage).

@@ -1,8 +1,8 @@
 """Exact complete-linkage agglomerative clustering (numpy, no scipy).
 
-Used inside ``applyInPandas`` workers on one eps-connected component at a
-time, so ``n`` is small (tens to low hundreds); the O(n^3) worst case of
-the naive Lance-Williams update is irrelevant at that size and keeps the
+Run on the driver on one eps-connected component at a time, so ``n`` is
+small (tens to low hundreds); the O(n^3) worst case of the naive
+Lance-Williams update is irrelevant at that size and keeps the
 implementation dependency-free and auditable.
 
 Complete linkage: d(A, B) = max over pairs — merging stops when the next
@@ -21,9 +21,10 @@ def complete_linkage_labels(
 ) -> np.ndarray:
     """Cluster points by complete-linkage HAC with a diameter cutoff.
 
-    Returns integer labels 0..k-1 (label = order of cluster creation,
-    deterministic: ties in merge distance break on the smaller pair of
-    cluster indices).
+    Returns integer labels 0..k-1, numbered by each cluster's first row;
+    ties in merge distance break on the smaller pair of cluster indices.
+    Both depend on the row order, so callers fix it (``build_candidates``
+    sorts each component by location id).
     """
     n = len(lat)
     if n == 0:

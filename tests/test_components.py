@@ -1,10 +1,11 @@
-"""Connected components vs a pure-Python union-find reference."""
+"""Connected components: the numpy labelling vs a pure-Python union-find
+reference, plus the Spark entry point's frame."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graph.components import connected_components
+from repro.graph.components import component_labels, connected_components
 from repro.graph.graph import Graph, graph_from_edges
 
 
@@ -30,7 +31,7 @@ def _union_find(n, edges):
 
 
 @pytest.mark.parametrize("seed,n,p", [(0, 30, 0.05), (1, 40, 0.02), (2, 25, 0.15)])
-def test_components_match_union_find(spark, seed, n, p):
+def test_components_match_union_find(seed, n, p):
     rng = np.random.default_rng(seed)
     edges = [
         (int(i), int(j))
@@ -38,36 +39,42 @@ def test_components_match_union_find(spark, seed, n, p):
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    v = spark.createDataFrame([(i,) for i in range(n)], "id long")
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    got = component_labels(n, src, dst)
+    ref = _union_find(n, edges)
+    assert got.tolist() == [ref[x] for x in range(n)]
+
+
+def test_components_chain_and_direction_ignored():
+    # directed chain 4 -> 3 -> 2 -> 1 -> 0 must still collapse to one comp
+    got = component_labels(5, np.arange(1, 5), np.arange(4))
+    assert got.tolist() == [0] * 5
+
+
+def test_components_long_reverse_chain(spark):
+    """A 200-vertex path whose ids fall along it: plain min-label
+    propagation needs 199 rounds to carry label 0 to the far end."""
+    n = 200
     e = spark.createDataFrame(
-        [(u, w, 1.0) for u, w in edges] or [(0, 0, 1.0)],
-        "src long, dst long, weight double",
+        [(i + 1, i, 1.0) for i in range(n - 1)], "src long, dst long, weight double"
     )
-    got = {r["id"]: r["component"] for r in connected_components(Graph(v, e)).collect()}
-    assert got == _union_find(n, edges)
+    got = {r["id"]: r["component"] for r in connected_components(graph_from_edges(e)).collect()}
+    assert got == {i: 0 for i in range(n)}
 
 
 def test_components_singletons(spark):
+    """Every vertex comes back as ``(id, component)``, isolated ones and
+    self-loops included."""
     v = spark.createDataFrame([(i,) for i in range(5)], "id long")
-    e = spark.createDataFrame([(0, 0, 1.0)], "src long, dst long, weight double")
-    got = {r["id"]: r["component"] for r in connected_components(Graph(v, e)).collect()}
-    assert got == {i: i for i in range(5)}
+    e = spark.createDataFrame([(0, 0, 1.0), (4, 2, 1.0)], "src long, dst long, weight double")
+    comp = connected_components(Graph(v, e))
+    assert comp.columns == ["id", "component"]
+    got = {r["id"]: r["component"] for r in comp.collect()}
+    assert got == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}
 
 
-def test_components_chain_and_direction_ignored(spark):
-    # directed chain 4 -> 3 -> 2 -> 1 -> 0 must still collapse to one comp
-    e = spark.createDataFrame(
-        [(i + 1, i, 1.0) for i in range(4)], "src long, dst long, weight double"
-    )
-    g = graph_from_edges(e)
-    got = {r["id"]: r["component"] for r in connected_components(g).collect()}
-    assert set(got.values()) == {0}
-
-
-def test_components_max_iter_raises(spark):
-    e = spark.createDataFrame(
-        [(i + 1, i, 1.0) for i in range(6)], "src long, dst long, weight double"
-    )
-    g = graph_from_edges(e)
-    with pytest.raises(RuntimeError, match="converge"):
-        connected_components(g, max_iter=1)
+def test_components_rejects_edge_to_unknown_vertex(spark):
+    v = spark.createDataFrame([(i,) for i in range(3)], "id long")
+    e = spark.createDataFrame([(0, 7, 1.0)], "src long, dst long, weight double")
+    with pytest.raises(ValueError, match="vertex id"):
+        connected_components(Graph(v, e))

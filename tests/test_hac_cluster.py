@@ -1,6 +1,7 @@
 """End-to-end HAC candidate construction on constructed geometries:
 50 m pre-assignment, eps-component decomposition, exact per-component
-complete linkage, centroid computation."""
+complete linkage, centroid computation; a seeded blob scene against a
+brute-force oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,8 +9,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.geo import haversine_np
+from repro.geo import haversine_np, pairwise_haversine_np
 from repro.hac.cluster import build_candidates
+from repro.hac.linkage import complete_linkage_labels
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
@@ -133,3 +135,99 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
             assert r["kind"] == "station"
         else:
             assert r["kind"] == "candidate"
+
+
+STATIONS_M = {3: (0.0, 0.0), 8: (1500.0, 200.0)}
+
+
+@pytest.fixture(scope="module")
+def blobs():
+    """A seeded scene of 320 points in overlapping blobs ~100 m across,
+    scattered within 400 m of two stations, as (location_id, lat, lon)."""
+    rng = np.random.default_rng(42)
+    centres = [
+        (sx + r * np.cos(a), sy + r * np.sin(a))
+        for sx, sy in STATIONS_M.values()
+        for r, a in zip(rng.uniform(0, 400, 8), rng.uniform(0, 2 * np.pi, 8))
+    ]
+    xy = np.concatenate([c + rng.normal(0, 25, (20, 2)) for c in centres])
+    lat, lon = _pt(xy[:, 0], xy[:, 1])
+    # ids not in coordinate order, so the row order and the id order differ
+    ids = rng.permutation(len(xy)) * 3 + 1
+    return pd.DataFrame({"location_id": ids, "lat": lat, "lon": lon})
+
+
+def _stations(spark):
+    lat, lon = zip(*(_pt(x, y) for x, y in STATIONS_M.values()))
+    return spark.createDataFrame(
+        pd.DataFrame({"station_id": list(STATIONS_M), "lat": lat, "lon": lon})
+    )
+
+
+def _candidates(spark, pdf):
+    res = build_candidates(spark.createDataFrame(pdf), _stations(spark))
+    return sorted(tuple(r) for r in res.assignment.collect())
+
+
+def _oracle(pdf):
+    """Brute force on the full pairwise matrix: station groups within 50 m,
+    eps-components of the rest by graph search, then complete linkage on
+    each component in location-id order."""
+    pdf = pdf.sort_values("location_id", ignore_index=True)
+    ids, lat, lon = (pdf[c].to_numpy() for c in ("location_id", "lat", "lon"))
+    st_lat, st_lon = (np.array(v) for v in zip(*(_pt(x, y) for x, y in STATIONS_M.values())))
+    to_st = haversine_np(lat[:, None], lon[:, None], st_lat[None, :], st_lon[None, :])
+    rows = [
+        (int(ids[i]), f"S{list(STATIONS_M)[to_st[i].argmin()]}", "station")
+        for i in np.flatnonzero(to_st.min(axis=1) <= 50.0)
+    ]
+    free = np.flatnonzero(to_st.min(axis=1) > 50.0)
+    near = pairwise_haversine_np(lat[free], lon[free]) <= 100.0
+    unseen = set(range(len(free)))
+    while unseen:
+        comp, stack = set(), [min(unseen)]
+        while stack:
+            i = stack.pop()
+            if i in unseen:
+                unseen.discard(i)
+                comp.add(i)
+                stack.extend(np.flatnonzero(near[i]).tolist())
+        members = free[sorted(comp)]  # ascending location id
+        labels = complete_linkage_labels(lat[members], lon[members], max_diameter_m=100.0)
+        rows += [
+            (int(ids[m]), f"C{ids[members[0]]}#{k}", "candidate")
+            for m, k in zip(members, labels)
+        ]
+    return sorted(rows)
+
+
+def test_blobs_match_brute_force_oracle(spark, blobs):
+    got = _candidates(spark, blobs)
+    assert got == _oracle(blobs)
+    # the scene exercises both paths and components holding several clusters
+    groups = {g for _, g, _ in got}
+    assert any(g.startswith("S") for g in groups)
+    assert len({g.split("#")[0] for g in groups if g.endswith("#1")}) >= 3
+
+
+def test_blobs_cluster_diameter_at_most_100m(spark, blobs):
+    got = pd.DataFrame(_candidates(spark, blobs), columns=["location_id", "group_id", "kind"])
+    pts = got[got.kind == "candidate"].merge(blobs, on="location_id")
+    for gid, grp in pts.groupby("group_id"):
+        d = pairwise_haversine_np(grp.lat.to_numpy(), grp.lon.to_numpy())
+        assert d.max() <= 100.0, gid
+
+
+def test_candidates_independent_of_row_order_and_partitions(spark, blobs):
+    """Row order and shuffle partitioning reach the driver as the order of
+    each collected component; the cluster numbering must not follow it."""
+    want = _candidates(spark, blobs)
+    shuffled = blobs.sample(frac=1.0, random_state=1, ignore_index=True)
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    try:
+        for parts in ("1", "7"):
+            spark.conf.set(key, parts)
+            assert _candidates(spark, shuffled) == want
+    finally:
+        spark.conf.set(key, old)
