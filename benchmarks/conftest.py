@@ -20,23 +20,10 @@ def bench_sf() -> float:
 
 
 @pytest.fixture(scope="session")
-def bench_data(spark, bench_sf):
-    from repro.moby.generator import generate, paper_config
-
-    return generate(spark, paper_config(sf=bench_sf))
-
-
-@pytest.fixture(scope="session")
-def bench_cleaned(spark, bench_data):
-    from repro.moby.cleaning import clean
-
-    return clean(bench_data.locations, bench_data.rentals)
-
-
-@pytest.fixture(scope="session")
-def bench_pipeline(spark, bench_data):
+def bench_pipeline(spark, bench_sf):
     """The shared pipeline result (everything up to and including Louvain);
-    individual benchmarks re-run their own stage against it."""
+    each benchmark re-runs its own stage against it."""
+    from repro.moby.generator import generate, paper_config
     from repro.pipeline import run_pipeline
 
-    return run_pipeline(spark, data=bench_data)
+    return run_pipeline(spark, data=generate(spark, paper_config(sf=bench_sf)))

@@ -1,25 +1,8 @@
-"""Shared helpers for the spark-submit entrypoints.
-
-Each job builds (or reuses) a local SparkSession, runs the pipeline at the
-requested scale factor and prints one paper table. Usage:
-
-    spark-submit jobs/table4_gbasic.py [--sf 1.0] [--seed 7]
-
-The jobs intentionally go through :func:`repro.pipeline.run_pipeline` so
-they exercise exactly the code the tests and benchmarks exercise.
-"""
+"""Shared helper for the spark-submit entrypoints: the local SparkSession
+every job runs on."""
 from __future__ import annotations
 
-import argparse
-
 from pyspark.sql import SparkSession
-
-
-def parse_args(description: str) -> argparse.Namespace:
-    p = argparse.ArgumentParser(description=description)
-    p.add_argument("--sf", type=float, default=1.0, help="scale factor (1.0 = paper size)")
-    p.add_argument("--seed", type=int, default=10, help="generator seed (10 = calibrated default)")
-    return p.parse_args()
 
 
 def get_spark(app: str) -> SparkSession:
@@ -30,22 +13,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
-
-
-def run_table(table_name: str, granularities: tuple[str, ...]) -> None:
-    """Run the pipeline and print one table plus the headline scalars."""
-    from repro import tables
-    from repro.moby.generator import paper_config
-    from repro.pipeline import run_pipeline
-
-    args = parse_args(f"Reproduce paper {table_name}")
-    spark = get_spark(f"repro-{table_name}")
-    spark.sparkContext.setLogLevel("ERROR")
-    result = run_pipeline(
-        spark, paper_config(sf=args.sf, seed=args.seed), granularities=granularities
-    )
-    fn = getattr(tables, table_name)
-    print(f"=== {table_name} (sf={args.sf}, seed={args.seed}) ===")
-    print(fn(result).to_string(index=False))
-    print("headline:", tables.headline(result))
-    spark.stop()

@@ -4,11 +4,12 @@ The paper (eq. 1) measures all distances with the Haversine formula on a
 spherical Earth. Two implementations are provided: a Spark ``Column``
 expression (used inside joins/aggregations so distance math stays in
 Catalyst) and a vectorised numpy version (used on the driver by the exact
-HAC and Algorithm 1, and in tests as an independent check).
+HAC and by Algorithm 1's distance rules and orphan reassignment, and in
+tests as an independent check).
 
 Also provided: a geo-grid bucketing scheme used to turn "all pairs within
-eps metres" into an equi-join on cell ids, and nearest-station assignment
-against a small station table.
+eps metres" into an equi-join on cell ids, and the nearest-station
+assignment of every location behind HAC's 50 m station pre-assignment.
 """
 from __future__ import annotations
 
@@ -100,10 +101,11 @@ def nearest_station(
     """Assign every point to its nearest station (Haversine argmin).
 
     ``points`` needs ``(point_id, lat, lon)``; ``stations`` needs
-    ``(station_id, lat, lon)``. The station table is tiny (92–238 rows in
-    the paper), so we explicitly broadcast it — the session fixture disables
-    automatic broadcast to exercise shuffles elsewhere, but a 238-row
-    dimension table is the textbook broadcast case.
+    ``(station_id, lat, lon)``. It serves HAC's pre-assignment of every
+    cleaned location (~14k at SF=1) against the fixed stations (92 in the
+    paper). That table is tiny, so we explicitly broadcast it — the
+    session fixture disables automatic broadcast to exercise shuffles
+    elsewhere, but a 92-row dimension table is the textbook broadcast case.
 
     Returns ``points`` columns + ``out_col`` + ``<out_col>_dist_m``.
     Ties break on the smaller station id so the result is deterministic.

@@ -99,9 +99,6 @@ def run_pipeline(
         "location_id", F.col("station_group").alias("group_id")
     )
     selected_trips = trips_with_groups(cleaned.rentals, final_assign).localCheckpoint()
-    station_kinds = selection.final_assignment.select(
-        F.col("station_group").alias("group_id"), "is_new"
-    ).distinct().localCheckpoint()
 
     result = PipelineResult(
         data=data,
@@ -111,7 +108,7 @@ def run_pipeline(
         candidate_stats=candidate_stats,
         selection=selection,
         selected_trips=selected_trips,
-        station_kinds=station_kinds,
+        station_kinds=selection.station_kinds,
     )
     for gran in granularities:
         result.communities[gran] = run_communities(result, gran)

@@ -11,15 +11,19 @@ Rules:
    station, and (iterated) >= 250 m from every surviving higher-degree
    candidate.
 
-Degrees are computed on the candidate graph in Spark (weighted in+out
-degree = trips touching the group, self-trips counted twice). The greedy
-suppression loop (Algorithm 1 lines 10-16) runs on the driver over the
-collected candidate list — provably small (1,080 rows in the paper), and
-the loop is inherently sequential.
+Only the degrees are trip-scale work: they are computed on the candidate
+graph in Spark (weighted in+out degree = trips touching the group,
+self-trips counted twice). They are collected once together with the
+groups table — at most a few thousand rows (1,080 candidates + 92 stations
+in the paper) — and the threshold, the 250 m rule against fixed stations
+and the greedy suppression loop (Algorithm 1 lines 10-16, inherently
+sequential) run on the driver in numpy.
 
 After selection, every location of an unselected candidate is reassigned
 to the nearest of the (old + new) stations, so total trips are conserved
 (paper: "All trips from non-selected stations were redirected...").
+The locations are collected once (~14k rows at SF=1) for that argmin, and
+the final mapping goes back to Spark as one local frame.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.geo import haversine_np, nearest_station
+from repro.geo import haversine_np
 
 SECONDARY_DISTANCE_M = 250.0
 
@@ -39,13 +43,15 @@ SECONDARY_DISTANCE_M = 250.0
 class SelectionResult:
     """``selected``: (group_id, lat, lon, degree) of the new stations;
     ``threshold``: the degree threshold used; ``final_assignment``:
-    (location_id, station_group, is_new) mapping every location to one of
-    the old+new stations."""
+    (station_group, location_id, is_new) mapping every location to one of
+    the old+new stations; ``station_kinds``: (group_id, is_new) of every
+    station some location maps to."""
 
     selected: DataFrame
     threshold: float
     final_assignment: DataFrame
     n_selected: int
+    station_kinds: DataFrame
 
 
 def group_degrees(trips: DataFrame) -> DataFrame:
@@ -77,6 +83,14 @@ def _suppress(cand: pd.DataFrame, min_dist_m: float) -> np.ndarray:
     return keep
 
 
+def _distances(points: pd.DataFrame, stations: pd.DataFrame) -> np.ndarray:
+    """Haversine matrix, one row per point and one column per station."""
+    return haversine_np(
+        points["lat"].to_numpy()[:, None], points["lon"].to_numpy()[:, None],
+        stations["lat"].to_numpy()[None, :], stations["lon"].to_numpy()[None, :],
+    )
+
+
 def select_stations(
     candidate_groups: DataFrame,
     trips: DataFrame,
@@ -91,73 +105,60 @@ def select_stations(
     station_id); ``trips``: candidate-graph trips (src_group/dst_group);
     ``locations``: cleaned locations (location_id, lat, lon);
     ``assignment``: location_id -> group_id/kind from the HAC stage.
+    Raises ``ValueError`` when the groups table has no fixed station: the
+    threshold and both distance rules are defined against fixed stations.
     """
-    deg = group_degrees(trips)
-    g = candidate_groups.join(deg, "group_id", "left").fillna({"degree": 0.0})
-    stations = g.filter(F.col("kind") == "station").cache()
-    cands = g.filter(F.col("kind") == "candidate")
+    # Sorted by group_id so that no output follows the collected row order.
+    g = (
+        candidate_groups.select("group_id", "kind", "lat", "lon").toPandas()
+        .merge(group_degrees(trips).toPandas(), on="group_id", how="left")
+        .fillna({"degree": 0.0})
+        .sort_values("group_id", ignore_index=True)
+    )
+    stations = g[g["kind"] == "station"]
+    if stations.empty:
+        raise ValueError("select_stations: the groups table has no row with kind == 'station'")
+    cands = g[g["kind"] == "candidate"]
+    threshold = float(stations["degree"].min())
 
-    threshold = float(
-        stations.agg(F.min("degree").alias("t")).collect()[0]["t"] or 0.0
-    )
-
-    # Rule 3 + Rule 4 (vs fixed stations) in Spark, then the sequential
-    # suppression loop on the driver.
-    far_from_station = nearest_station(
-        cands.select(F.col("group_id").alias("location_id"), "lat", "lon"),
-        stations.select("station_id", "lat", "lon"),
-        out_col="ns",
-    ).filter(F.col("ns_dist_m") >= secondary_distance_m).select(
-        F.col("location_id").alias("group_id")
-    )
-    survivors = (
-        cands.filter(F.col("degree") >= threshold)
-        .join(far_from_station, "group_id", "left_semi")
-        .select("group_id", "lat", "lon", "degree")
-    )
-    cand_pdf = survivors.toPandas()
-    if len(cand_pdf):
-        keep = _suppress(cand_pdf, secondary_distance_m)
-        sel_pdf = cand_pdf[keep].reset_index(drop=True)
-    else:
-        sel_pdf = cand_pdf
+    # Rule 3 + Rule 4 (vs fixed stations), then the sequential suppression.
+    survivors = cands[
+        (cands["degree"] >= threshold)
+        & (_distances(cands, stations).min(axis=1) >= secondary_distance_m)
+    ]
+    sel = survivors[_suppress(survivors, secondary_distance_m)]
     spark = candidate_groups.sparkSession
-    schema = "group_id string, lat double, lon double, degree double"
-    selected = spark.createDataFrame(sel_pdf, schema=schema).cache()
+    selected = spark.createDataFrame(
+        sel[["group_id", "lat", "lon", "degree"]],
+        schema="group_id string, lat double, lon double, degree double",
+    )
 
     # --- final location -> station mapping ------------------------------
-    all_stations = (
-        stations.select("group_id", "lat", "lon", F.lit(False).alias("is_new"))
-        .unionByName(selected.select("group_id", "lat", "lon", F.lit(True).alias("is_new")))
-        .cache()
+    # Orphans take the nearest old or new station; argmin over stations
+    # sorted by group_id keeps the smaller id on an exact distance tie.
+    all_stations = pd.concat([stations, sel]).sort_values("group_id", ignore_index=True)
+    loc = (
+        assignment.select("location_id", "group_id")
+        .join(locations.select("location_id", "lat", "lon"), "location_id")
+        .toPandas()
     )
-    kept_groups = all_stations.select("group_id")
-    keep_assign = assignment.join(kept_groups, "group_id", "left_semi").select(
-        "location_id", F.col("group_id").alias("station_group")
-    )
-    orphaned = assignment.join(kept_groups, "group_id", "left_anti").select(
-        "location_id"
-    )
-    reassigned = nearest_station(
-        orphaned.join(locations.select("location_id", "lat", "lon"), "location_id"),
-        all_stations.select(F.col("group_id").alias("station_id"), "lat", "lon"),
-        out_col="ns",
-    ).select("location_id", F.col("ns").alias("station_group"))
-    # localCheckpoint: this frame is joined against the rental table twice
-    # per downstream graph build — keep its plan flat.
-    final = (
-        keep_assign.unionByName(reassigned)
-        .join(
-            all_stations.select(
-                F.col("group_id").alias("station_group"), "is_new"
-            ),
-            "station_group",
-        )
-        .localCheckpoint()
-    )
+    orphan = ~loc["group_id"].isin(all_stations["group_id"])
+    nearest = _distances(loc[orphan], all_stations).argmin(axis=1)
+    loc.loc[orphan, "group_id"] = all_stations["group_id"].to_numpy()[nearest]
+    final = pd.DataFrame(
+        {
+            "station_group": loc["group_id"],
+            "location_id": loc["location_id"],
+            "is_new": loc["group_id"].isin(sel["group_id"]),
+        }
+    ).sort_values("location_id", ignore_index=True)
+    kinds = final[["station_group", "is_new"]].drop_duplicates()
     return SelectionResult(
         selected=selected,
         threshold=threshold,
-        final_assignment=final,
-        n_selected=selected.count(),
+        final_assignment=spark.createDataFrame(
+            final, schema="station_group string, location_id long, is_new boolean"
+        ),
+        n_selected=len(sel),
+        station_kinds=spark.createDataFrame(kinds, schema="group_id string, is_new boolean"),
     )

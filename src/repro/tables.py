@@ -8,7 +8,6 @@ spark-submit and ``benchmarks/`` times them.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.pipeline import PipelineResult
 
@@ -81,54 +80,26 @@ def table2(result: PipelineResult) -> pd.DataFrame:
 def table3(result: PipelineResult) -> pd.DataFrame:
     """Table III — the selected graph: trips and directed edges split by
     pre-existing vs newly selected stations (From = by source station
-    kind, To = by destination kind)."""
-    trips = result.selected_trips
-    kinds = result.station_kinds
-    out = []
-    for label, col in (("from", "src_group"), ("to", "dst_group")):
-        t = (
-            trips.groupBy(col)
-            .agg(F.count(F.lit(1)).alias("trips"))
-            .join(kinds.withColumnRenamed("group_id", col), col)
-            .groupBy("is_new")
-            .agg(F.sum("trips").alias("trips"))
-            .collect()
-        )
-        trips_by = {bool(r["is_new"]): int(r["trips"]) for r in t}
-        pairs = trips.groupBy("src_group", "dst_group").count()
-        e = (
-            pairs.join(kinds.withColumnRenamed("group_id", col), col)
-            .groupBy("is_new")
-            .agg(F.count(F.lit(1)).alias("edges"))
-            .collect()
-        )
-        edges_by = {bool(r["is_new"]): int(r["edges"]) for r in e}
-        out.append((label, trips_by, edges_by))
+    kind, To = by destination kind).
 
-    st = kinds.groupBy("is_new").count().collect()
-    st_by = {bool(r["is_new"]): int(r["count"]) for r in st}
-
-    (f_label, f_trips, f_edges), (t_label, t_trips, t_edges) = out
-    rows = []
-    for kind, is_new in (("pre-existing", False), ("selected", True)):
-        rows.append(
-            {
-                "kind": kind,
-                "stations": st_by.get(is_new, 0),
-                "trips_from": f_trips.get(is_new, 0),
-                "trips_to": t_trips.get(is_new, 0),
-                "edges_from": f_edges.get(is_new, 0),
-                "edges_to": t_edges.get(is_new, 0),
-            }
-        )
-    total = {
-        "kind": "total",
-        "stations": sum(r["stations"] for r in rows),
-        "trips_from": sum(r["trips_from"] for r in rows),
-        "trips_to": sum(r["trips_to"] for r in rows),
-        "edges_from": sum(r["edges_from"] for r in rows),
-        "edges_to": sum(r["edges_to"] for r in rows),
-    }
+    One Spark job counts the trips per directed station pair (at most a
+    few thousand rows); the split is derived from it on the driver."""
+    pairs = result.selected_trips.groupBy("src_group", "dst_group").count().toPandas()
+    kinds = result.station_kinds.toPandas().set_index("group_id")["is_new"]
+    src_new = pairs["src_group"].map(kinds)
+    dst_new = pairs["dst_group"].map(kinds)
+    rows = [
+        {
+            "kind": kind,
+            "stations": int((kinds == is_new).sum()),
+            "trips_from": int(pairs["count"][src_new == is_new].sum()),
+            "trips_to": int(pairs["count"][dst_new == is_new].sum()),
+            "edges_from": int((src_new == is_new).sum()),
+            "edges_to": int((dst_new == is_new).sum()),
+        }
+        for kind, is_new in (("pre-existing", False), ("selected", True))
+    ]
+    total = {"kind": "total", **{k: sum(r[k] for r in rows) for k in rows[0] if k != "kind"}}
     return pd.DataFrame(rows + [total])
 
 

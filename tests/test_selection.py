@@ -188,3 +188,119 @@ def test_select_stations_reassigns_orphans_to_nearest(scenario):
     assert fa[6] == ("Ca", True)  # Cb 200m from Ca
     # every location still mapped exactly once: trips conserved
     assert len(fa) == 6
+
+
+def _scene_frames(spark, groups, trips, locs):
+    """Spark inputs of ``select_stations`` from pandas: ``groups`` rows
+    (group_id, kind, lat, lon, station_id), ``trips`` (src, dst) group
+    pairs, ``locs`` (location_id, group_id, lat, lon)."""
+    locs = pd.DataFrame(locs, columns=["location_id", "group_id", "lat", "lon"])
+    kind = np.where(locs["group_id"].str.startswith("S"), "station", "candidate")
+    return (
+        _groups_df(spark, groups),
+        _trips_df(spark, trips),
+        spark.createDataFrame(locs[["location_id", "lat", "lon"]]),
+        spark.createDataFrame(locs[["location_id", "group_id"]].assign(kind=kind)),
+    )
+
+
+def test_select_stations_requires_a_fixed_station(spark):
+    c = _pt(0, 0)
+    inputs = _scene_frames(
+        spark, [("C1", "candidate", *c, None)], [("C1", "C1")], [(1, "C1", *c)]
+    )
+    with pytest.raises(ValueError, match="station"):
+        select_stations(*inputs)
+
+
+def test_orphan_equidistant_stations_go_to_smaller_group_id(spark):
+    # S7 and S3 share one coordinate, so the orphan's two distances are
+    # bit-identical; it must join S3, the smaller group id.
+    s, c = _pt(0, 0), _pt(500, 0)
+    inputs = _scene_frames(
+        spark,
+        [("S7", "station", *s, 7), ("S3", "station", *s, 3), ("C1", "candidate", *c, None)],
+        [("S7", "S3")] * 3 + [("C1", "S7")],
+        [(1, "S7", *s), (2, "S3", *s), (3, "C1", *c)],
+    )
+    res = select_stations(*inputs)
+    assert res.n_selected == 0
+    fa = {r["location_id"]: r["station_group"] for r in res.final_assignment.collect()}
+    assert fa == {1: "S7", 2: "S3", 3: "S3"}
+
+
+def test_no_candidate_passes_threshold(spark):
+    s1, s2 = _pt(0, 0), _pt(2000, 0)
+    c1, c2, c3 = _pt(0, 800), _pt(1700, 300), _pt(800, 1500)
+    inputs = _scene_frames(
+        spark,
+        [
+            ("S1", "station", *s1, 1), ("S2", "station", *s2, 2),
+            ("C1", "candidate", *c1, None), ("C2", "candidate", *c2, None),
+            ("C3", "candidate", *c3, None),
+        ],
+        # degrees: S1 = S2 = 4 (threshold); C1 = C2 = 1; C3 = 2 (self-trip)
+        [("S1", "S2")] * 4 + [("C1", "C2"), ("C3", "C3")],
+        [(1, "S1", *s1), (2, "S2", *s2), (3, "C1", *c1), (4, "C2", *c2), (5, "C3", *c3)],
+    )
+    res = select_stations(*inputs)
+    assert res.threshold == 4.0
+    assert res.n_selected == 0
+    assert res.selected.count() == 0
+    assert res.selected.schema.simpleString() == (
+        "struct<group_id:string,lat:double,lon:double,degree:double>"
+    )
+    fa = {r["location_id"]: (r["station_group"], r["is_new"]) for r in res.final_assignment.collect()}
+    assert fa == {
+        1: ("S1", False), 2: ("S2", False), 3: ("S1", False), 4: ("S2", False), 5: ("S1", False),
+    }
+
+
+@pytest.fixture(scope="module")
+def city():
+    """Seeded scene: 4 stations and 40 candidates of 1-3 locations each in
+    a 3 km square, with 600 trips between groups of exponentially
+    distributed popularity. Threshold 7: 9 candidates fall below it, 3 lie
+    within 250 m of a station, 17 pairs within 250 m of each other, and
+    degrees tie."""
+    rng = np.random.default_rng(7)
+    groups, locs = [], []
+    for i, (x, y) in enumerate([(300, 300), (2700, 300), (300, 2700), (1500, 1500)]):
+        p = _pt(x, y)
+        groups.append((f"S{i}", "station", *p, i))
+        locs.append((len(locs), f"S{i}", *p))
+    for i in range(40):
+        x, y = rng.uniform(0, 3000, 2)
+        groups.append((f"C{i:02d}", "candidate", *_pt(x, y), None))
+        for _ in range(rng.integers(1, 4)):
+            locs.append((len(locs), f"C{i:02d}", *_pt(x + rng.normal(0, 20), y + rng.normal(0, 20))))
+    ids = [g[0] for g in groups]
+    pop = rng.exponential(1.0, len(ids))
+    ends = rng.choice(ids, size=(600, 2), p=pop / pop.sum())
+    return groups, [tuple(e) for e in ends], locs
+
+
+def _selection_rows(spark, groups, trips, locs):
+    res = select_stations(*_scene_frames(spark, groups, trips, locs))
+    return (
+        res.threshold,
+        sorted(tuple(r) for r in res.selected.collect()),
+        sorted(tuple(r) for r in res.final_assignment.collect()),
+    )
+
+
+def test_selection_independent_of_row_order_and_partitions(spark, city):
+    """Row order and shuffle partitioning reach the driver as the order of
+    the collected degrees, groups and locations; no output may follow it."""
+    want = _selection_rows(spark, *city)
+    assert want[0] == 7.0 and 0 < len(want[1]) < 31
+    rng = np.random.default_rng(1)
+    shuffled = [[rows[i] for i in rng.permutation(len(rows))] for rows in city]
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    try:
+        for parts in ("1", "7"):
+            spark.conf.set(key, parts)
+            assert _selection_rows(spark, *shuffled) == want
+    finally:
+        spark.conf.set(key, old)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import tables
+from repro.oracle import assert_equivalent
 
 
 def test_paper_reference_values_sane():
@@ -45,6 +46,39 @@ def test_table3_layout_and_totals(pipeline_small):
     parts = pdf[pdf["kind"] != "total"]
     for col in ("stations", "trips_from", "trips_to", "edges_from", "edges_to"):
         assert parts[col].sum() == total[col]
+
+
+def test_table3_oracle(pipeline_small):
+    """Table III against the per-kind joins in DuckDB, with station kinds
+    taken from the final assignment."""
+    r = pipeline_small
+    pdf = tables.table3(r)
+    got = r.selected_trips.sparkSession.createDataFrame(pdf[pdf["kind"] != "total"])
+    sql = """
+    WITH kinds AS (SELECT DISTINCT station_group AS group_id, is_new FROM fa),
+    pairs AS (SELECT DISTINCT src_group, dst_group FROM trips),
+    per_kind AS (
+      SELECT is_new,
+        (SELECT COUNT(*) FROM kinds k WHERE k.is_new = s.is_new) AS stations,
+        (SELECT COUNT(*) FROM trips t JOIN kinds k ON t.src_group = k.group_id
+          WHERE k.is_new = s.is_new) AS trips_from,
+        (SELECT COUNT(*) FROM trips t JOIN kinds k ON t.dst_group = k.group_id
+          WHERE k.is_new = s.is_new) AS trips_to,
+        (SELECT COUNT(*) FROM pairs p JOIN kinds k ON p.src_group = k.group_id
+          WHERE k.is_new = s.is_new) AS edges_from,
+        (SELECT COUNT(*) FROM pairs p JOIN kinds k ON p.dst_group = k.group_id
+          WHERE k.is_new = s.is_new) AS edges_to
+      FROM (VALUES (false), (true)) s(is_new)
+    )
+    SELECT CASE WHEN is_new THEN 'selected' ELSE 'pre-existing' END AS kind,
+      stations, trips_from, trips_to, edges_from, edges_to
+    FROM per_kind
+    """
+    assert_equivalent(
+        got, sql,
+        trips=r.selected_trips.select("src_group", "dst_group"),
+        fa=r.selection.final_assignment,
+    )
 
 
 @pytest.mark.parametrize("name,gran", [("table4", "basic"), ("table5", "day"), ("table6", "hour")])
