@@ -7,9 +7,9 @@ Catalyst) and a vectorised numpy version (used on the driver by the exact
 HAC and by Algorithm 1's distance rules and orphan reassignment, and in
 tests as an independent check).
 
-Also provided: a geo-grid bucketing scheme used to turn "all pairs within
-eps metres" into an equi-join on cell ids, and the nearest-station
-assignment of every location behind HAC's 50 m station pre-assignment.
+Also provided: a geo-grid bucketing scheme used to turn "within eps
+metres" into an equi-join on cell ids, the basis of HAC's 100 m
+proximity graph and of its 50 m station pre-assignment.
 """
 from __future__ import annotations
 
@@ -89,42 +89,3 @@ def with_grid_cell(
         f"{out_prefix}_j", F.floor(F.col(lon_col) / F.lit(dlon)).cast("long")
     )
 
-
-def nearest_station(
-    points: DataFrame,
-    stations: DataFrame,
-    *,
-    point_id: str = "location_id",
-    station_id: str = "station_id",
-    out_col: str = "nearest_station_id",
-) -> DataFrame:
-    """Assign every point to its nearest station (Haversine argmin).
-
-    ``points`` needs ``(point_id, lat, lon)``; ``stations`` needs
-    ``(station_id, lat, lon)``. It serves HAC's pre-assignment of every
-    cleaned location (~14k at SF=1) against the fixed stations (92 in the
-    paper). That table is tiny, so we explicitly broadcast it — the
-    session fixture disables automatic broadcast to exercise shuffles
-    elsewhere, but a 92-row dimension table is the textbook broadcast case.
-
-    Returns ``points`` columns + ``out_col`` + ``<out_col>_dist_m``.
-    Ties break on the smaller station id so the result is deterministic.
-    """
-    st = F.broadcast(
-        stations.select(
-            F.col(station_id).alias("__st_id"),
-            F.col("lat").alias("__st_lat"),
-            F.col("lon").alias("__st_lon"),
-        )
-    )
-    d = haversine_col(F.col("lat"), F.col("lon"), F.col("__st_lat"), F.col("__st_lon"))
-    joined = points.crossJoin(st).withColumn("__dist", d)
-    best = joined.groupBy(point_id).agg(
-        F.min(F.struct(F.col("__dist"), F.col("__st_id"))).alias("__best")
-    )
-    return (
-        points.join(best, on=point_id)
-        .withColumn(out_col, F.col("__best.__st_id"))
-        .withColumn(f"{out_col}_dist_m", F.col("__best.__dist"))
-        .drop("__best")
-    )

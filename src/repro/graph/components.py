@@ -3,14 +3,17 @@
 The HAC stage needs the connected components of the 100 m proximity graph
 of the locations that are not near a station: a few thousand vertices in a
 few hundred small components, far too small to be a distributed workload.
-:func:`connected_components` collects the vertex ids and the edges once and
-labels them in numpy with :func:`component_labels`.
+:func:`connected_components` collects the vertex ids and the edges once,
+labels them in numpy with :func:`component_labels` and hands the labels
+back as a local frame built from pandas through Arrow (a ``LocalRelation``,
+so no Python worker process is needed to read it).
 
 Edges are taken as undirected, so the input may be directed.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import StructField, StructType
 
@@ -55,5 +58,5 @@ def connected_components(g: Graph) -> DataFrame:
     field = g.vertices.schema["id"]
     schema = StructType([field, StructField("component", field.dataType, field.nullable)])
     return g.vertices.sparkSession.createDataFrame(
-        list(zip(ids.tolist(), component.tolist())), schema
+        pd.DataFrame({"id": ids, "component": component}), schema
     )

@@ -3,20 +3,32 @@
 Pipeline:
 
 1. **Pre-assignment** — any location within 50 m of a fixed station is
-   assigned to that station's group (nearest wins) and excluded from
-   clustering; stations are immovable group centroids.
-2. **eps decomposition** — the remaining locations are split into
-   connected components of the 100 m proximity graph (distributed grid
-   join in Spark, components labelled on the driver). Complete-linkage
-   clusters with diameter <= 100 m are always subsets of such components,
-   so this decomposition is *lossless*.
-3. **Exact HAC** — the free locations are collected once with their
-   component (a few thousand points in components of at most ~100) and
-   complete-linkage clustering with the 100 m diameter cutoff runs per
-   component on the driver, each component sorted by location id so the
-   result does not depend on row order.
+   assigned to that station's group (nearest wins, an exact distance tie
+   to the smaller station id) and excluded from clustering; stations are
+   immovable group centroids. This is an eps-grid join at 50 m
+   (:mod:`repro.hac.proximity`): each location stays in its home cell, the
+   stations are replicated to their 3x3 neighbouring cells and broadcast,
+   so every station within 50 m of a location meets it in the join. The
+   pairs are filtered to <= 50 m and the minimum ``(distance,
+   station_id)`` per location picks the station. The free locations are
+   the rest (a left-anti join).
+2. **eps decomposition** — the free locations are collected once with
+   their coordinates and split into connected components of the 100 m
+   proximity graph (distributed grid join in Spark over the collected
+   points handed back as a local frame, components labelled on the
+   driver). Complete-linkage clusters with diameter <= 100 m are always
+   subsets of such components, so this decomposition is *lossless*.
+3. **Exact HAC** — complete-linkage clustering with the 100 m diameter
+   cutoff runs per component on the driver (a few thousand points in
+   components of at most ~100), each component sorted by location id so
+   the result does not depend on row order.
 4. **Centroids** — each candidate cluster is represented by the mean of
-   its member coordinates; station groups by the station coordinate.
+   its member coordinates, computed on the driver as the sequential sum
+   in location-id order divided by the member count; station groups by
+   the station coordinate. The groups table is one local frame.
+
+Every frame built on the driver goes to Spark from pandas through Arrow
+(a ``LocalRelation``), so no Python worker process is started.
 
 Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``.
 """
@@ -24,14 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.geo import nearest_station
+from repro.geo import haversine_col, with_grid_cell
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph
 from repro.hac.linkage import complete_linkage_labels
-from repro.hac.proximity import eps_edges
+from repro.hac.proximity import eps_edges, neighbour_cells
 
 PRE_ASSIGN_M = 50.0
 MAX_DIAMETER_M = 100.0
@@ -46,6 +60,12 @@ class CandidateResult:
     groups: DataFrame
 
 
+def _sequential_mean(v: pd.Series) -> float:
+    """Sum in row order, then divide by the count. ``np.mean`` and pandas'
+    ``mean`` sum pairwise and can differ from it in the last bit."""
+    return np.cumsum(v.to_numpy())[-1] / len(v)
+
+
 def build_candidates(
     locations: DataFrame,
     stations: DataFrame,
@@ -55,62 +75,83 @@ def build_candidates(
 ) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
-    (location_id, lat, lon, station_id)."""
-    pts = locations.select("location_id", "lat", "lon")
-    st = stations.select("station_id", "lat", "lon")
+    (location_id, lat, lon, station_id). Raises ``ValueError`` when there
+    is no fixed station: pre-assignment and the groups table need them."""
+    spark = locations.sparkSession
+    st = stations.select(
+        F.col("station_id").cast("long").alias("station_id"), "lat", "lon"
+    ).toPandas()
+    if st.empty:
+        raise ValueError("build_candidates: the stations table is empty")
 
-    near = nearest_station(pts, st, out_col="ns")
-    station_assigned = near.filter(F.col("ns_dist_m") <= pre_assign_m).select(
+    # Pre-assignment: the eps-grid join at pre_assign_m, min (dist, id).
+    pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=pre_assign_m)
+    st_cells = neighbour_cells(
+        with_grid_cell(
+            spark.createDataFrame(
+                st.rename(columns={"lat": "st_lat", "lon": "st_lon"}),
+                schema="station_id long, st_lat double, st_lon double",
+            ),
+            lat_col="st_lat", lon_col="st_lon", eps_m=pre_assign_m,
+        )
+    )
+    dist = haversine_col(F.col("lat"), F.col("lon"), F.col("st_lat"), F.col("st_lon"))
+    near = (
+        pts.join(F.broadcast(st_cells), ["cell_i", "cell_j"])
+        .withColumn("dist_m", dist)
+        .filter(F.col("dist_m") <= F.lit(float(pre_assign_m)))
+        .groupBy("location_id")
+        .agg(F.min(F.struct("dist_m", "station_id")).alias("best"))
+    )
+    station_assigned = near.select(
         "location_id",
-        F.concat(F.lit("S"), F.col("ns").cast("long")).alias("group_id"),
+        F.concat(F.lit("S"), F.col("best.station_id")).alias("group_id"),
         F.lit("station").alias("kind"),
     )
-    free = near.filter(F.col("ns_dist_m") > pre_assign_m).select(
-        "location_id", "lat", "lon"
-    ).cache()
+    free = pts.join(near, "location_id", "left_anti").select("location_id", "lat", "lon")
 
-    # eps-components of the free points
+    # eps-components of the free points, collected once. The collect hands
+    # rows over in partition order; the sort makes the linkage's tie-breaks
+    # and cluster numbering depend on the ids alone.
+    free_pdf = free.toPandas()
+    free = spark.createDataFrame(free_pdf, schema="location_id long, lat double, lon double")
     edges = eps_edges(free, eps_m=max_diameter_m).select(
         F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
     )
     verts = free.select(F.col("location_id").alias("id"))
-    comp = connected_components(Graph(verts, edges))
-    # The collect hands rows over in partition order; sorting makes the
-    # linkage's tie-breaks and cluster numbering depend on the ids alone.
-    pdf = (
-        free.join(comp.withColumnRenamed("id", "location_id"), "location_id")
-        .toPandas()
-        .sort_values(["component", "location_id"], ignore_index=True)
-    )
+    comp = connected_components(Graph(verts, edges)).toPandas()
+    pdf = free_pdf.merge(
+        comp.rename(columns={"id": "location_id"}), on="location_id"
+    ).sort_values(["component", "location_id"], ignore_index=True)
     group_id: list[str] = []
     for comp_id, c in pdf.groupby("component", sort=False):
         labels = complete_linkage_labels(
             c["lat"].to_numpy(), c["lon"].to_numpy(), max_diameter_m=max_diameter_m
         )
         group_id.extend(f"C{comp_id}#{k}" for k in labels)
+    pdf["group_id"] = pd.Series(group_id, dtype=object)
 
-    candidate_assigned = locations.sparkSession.createDataFrame(
-        list(zip(pdf["location_id"].tolist(), group_id)),
-        schema="location_id long, group_id string",
+    candidate_assigned = spark.createDataFrame(
+        pdf[["location_id", "group_id"]], schema="location_id long, group_id string"
     ).select("location_id", "group_id", F.lit("candidate").alias("kind"))
     # localCheckpoint (not cache): downstream stages reference this frame
     # many times and nest it inside further joins — materialising here
     # keeps their logical plans shallow (a cache does not truncate lineage).
     assignment = station_assigned.unionByName(candidate_assigned).localCheckpoint()
 
-    cand_groups = (
-        candidate_assigned.join(pts, "location_id")
-        .groupBy("group_id")
-        .agg(F.avg("lat").alias("lat"), F.avg("lon").alias("lon"))
-        .select(
-            "group_id", F.lit("candidate").alias("kind"), "lat", "lon",
-            F.lit(None).cast("long").alias("station_id"),
-        )
+    # Each group's rows are in location-id order (pdf is sorted by
+    # component, then location id, and a group lies in one component).
+    centroids = pdf.groupby("group_id", sort=False).agg(
+        lat=("lat", _sequential_mean), lon=("lon", _sequential_mean)
+    ).reset_index()
+    groups = pd.concat(
+        [
+            st.assign(group_id="S" + st["station_id"].astype(str), kind="station"),
+            centroids.assign(kind="candidate", station_id=None),
+        ],
+        ignore_index=True,
+    )[["group_id", "kind", "lat", "lon", "station_id"]].astype({"station_id": "Int64"})
+    groups = spark.createDataFrame(
+        groups, schema="group_id string, kind string, lat double, lon double, station_id long"
     )
-    st_groups = st.select(
-        F.concat(F.lit("S"), F.col("station_id").cast("long")).alias("group_id"),
-        F.lit("station").alias("kind"), "lat", "lon",
-        F.col("station_id").cast("long").alias("station_id"),
-    )
-    groups = st_groups.unionByName(cand_groups).localCheckpoint()
     return CandidateResult(assignment=assignment, groups=groups)

@@ -1,10 +1,14 @@
-"""Distributed eps-proximity graph over GPS points.
+"""Distributed eps-proximity joins over GPS points.
 
 "All pairs within eps metres" as an equi-join: bucket points into a
 geo-grid whose cell side is >= eps (so any eps-pair lands in the same or
-an adjacent cell), replicate each point to its 3x3 cell neighbourhood on
-one side of the join, equi-join on cell id, then filter by exact Haversine
-distance. Emits each unordered pair once (``src < dst``).
+an adjacent cell), replicate one side of the join to its 3x3 cell
+neighbourhood (:func:`neighbour_cells`), keep the other side in its home
+cell, equi-join on cell id, then filter by exact Haversine distance.
+:func:`eps_edges` joins the points with themselves and emits each
+unordered pair once (``src < dst``); HAC's 50 m station pre-assignment
+(:mod:`repro.hac.cluster`) joins the locations with the replicated
+stations.
 """
 from __future__ import annotations
 
@@ -12,6 +16,21 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.geo import haversine_col, with_grid_cell
+
+
+def neighbour_cells(cells: DataFrame) -> DataFrame:
+    """Replicate every row of ``cells`` (which carries ``cell_i``/``cell_j``
+    from :func:`~repro.geo.with_grid_cell`) to each cell of its 3x3
+    neighbourhood: nine rows per input row, the other columns unchanged."""
+    offsets = F.expr(
+        "explode(arrays_zip(array(-1,-1,-1,0,0,0,1,1,1), array(-1,0,1,-1,0,1,-1,0,1)))"
+    ).alias("o")
+    rest = [c for c in cells.columns if c not in ("cell_i", "cell_j")]
+    return cells.select("*", offsets).select(
+        *rest,
+        (F.col("cell_i") + F.col("o.0")).alias("cell_i"),
+        (F.col("cell_j") + F.col("o.1")).alias("cell_j"),
+    )
 
 
 def eps_edges(
@@ -36,17 +55,10 @@ def eps_edges(
         F.col("id").alias("src"), F.col("lat").alias("lat_a"),
         F.col("lon").alias("lon_a"), "cell_i", "cell_j",
     )
-    # right side: points replicated to all 9 neighbouring cells
-    offsets = F.expr(
-        "explode(arrays_zip(array(-1,-1,-1,0,0,0,1,1,1), array(-1,0,1,-1,0,1,-1,0,1)))"
-    ).alias("o")
-    right = (
-        p.select("id", "lat", "lon", "cell_i", "cell_j", offsets)
-        .select(
+    right = neighbour_cells(
+        p.select(
             F.col("id").alias("dst"), F.col("lat").alias("lat_b"),
-            F.col("lon").alias("lon_b"),
-            (F.col("cell_i") + F.col("o.0")).alias("cell_i"),
-            (F.col("cell_j") + F.col("o.1")).alias("cell_j"),
+            F.col("lon").alias("lon_b"), "cell_i", "cell_j",
         )
     )
     pairs = left.join(right, ["cell_i", "cell_j"]).filter(F.col("src") < F.col("dst"))

@@ -8,8 +8,13 @@ Removed entries:
 5. Rentals whose rental/return location id is not in the Location table.
 6. Locations never referenced by any (surviving) rental.
 
-All rule evaluation happens in Catalyst (joins/filters); only Table I
-counts are collected.
+All rule evaluation happens in Catalyst (joins/filters); only the Table I
+counts are collected, one Spark action per row-set: the raw tables, then
+the cleaned ones. Each action aggregates the locations (rows and
+``count_if(is_station)``) and the rentals (rows) and cross-joins the two
+one-row results. The surviving rentals are materialised first and rule 6
+reads them, so the two endpoint semi-joins run once; the cleaned counts
+read both materialised tables.
 """
 from __future__ import annotations
 
@@ -51,11 +56,20 @@ def on_land(lat_col, lon_col):
     return ~sea
 
 
+def _table1_counts(locations: DataFrame, rentals: DataFrame) -> tuple[int, int, int]:
+    """``(stations, rentals, locations)`` row counts, taken by one Spark
+    action: the locations aggregate cross-joined with the rentals one."""
+    loc = locations.agg(
+        F.count_if(F.col("is_station")).alias("stations"),
+        F.count(F.lit(1)).alias("locations"),
+    )
+    row = loc.crossJoin(rentals.agg(F.count(F.lit(1)).alias("rentals"))).first()
+    return row["stations"], row["rentals"], row["locations"]
+
+
 def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     """Apply all six rules and return cleaned tables + Table I counts."""
-    raw_locations = locations.count()
-    raw_rentals = rentals.count()
-    raw_stations = locations.filter(F.col("is_station")).count()
+    raw_stations, raw_rentals, raw_locations = _table1_counts(locations, rentals)
 
     lat, lon = F.col("lat"), F.col("lon")
     good_loc = locations.filter(
@@ -70,6 +84,10 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         F.col("rental_location_id").isNotNull()
         & F.col("return_location_id").isNotNull()
     )
+    # localCheckpoint (not cache): every downstream stage joins these
+    # tables repeatedly and nests them in further plans — materialising
+    # here keeps all later logical plans shallow. The rentals go first so
+    # that rule 6 below reads them instead of re-running both semi-joins.
     r = r.join(
         good_ids.withColumnRenamed("__lid", "rental_location_id"),
         "rental_location_id",
@@ -78,7 +96,7 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         good_ids.withColumnRenamed("__lid", "return_location_id"),
         "return_location_id",
         "left_semi",
-    )
+    ).localCheckpoint()
 
     # Rule 6: drop locations never referenced by a surviving rental.
     refs = (
@@ -86,15 +104,12 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         .unionByName(r.select(F.col("return_location_id").alias("location_id")))
         .distinct()
     )
-    # localCheckpoint (not cache): every downstream stage joins these
-    # tables repeatedly and nests them in further plans — materialising
-    # here keeps all later logical plans shallow.
     loc_clean = good_loc.join(refs, "location_id", "left_semi").localCheckpoint()
-    r = r.localCheckpoint()
 
     stations = loc_clean.filter(F.col("is_station")).select(
         "location_id", "lat", "lon", F.col("station_id").cast("long").alias("station_id")
     )
+    clean_stations, clean_rentals, clean_locations = _table1_counts(loc_clean, r)
     return CleanResult(
         locations=loc_clean,
         rentals=r,
@@ -102,7 +117,7 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         raw_stations=raw_stations,
         raw_rentals=raw_rentals,
         raw_locations=raw_locations,
-        clean_stations=stations.count(),
-        clean_rentals=r.count(),
-        clean_locations=loc_clean.count(),
+        clean_stations=clean_stations,
+        clean_rentals=clean_rentals,
+        clean_locations=clean_locations,
     )

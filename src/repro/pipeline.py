@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -59,13 +60,14 @@ def louvain_groups(g: Graph) -> tuple[DataFrame, LouvainResult]:
     ids): collect its symmetric edges, index the ids in sorted order and
     detect on the driver. The vertex set is the edges' endpoints, which is
     every vertex of a :func:`temporal_graph`. Returns the
-    ``(group_id, community)`` frame and the result over the indices."""
+    ``(group_id, community)`` frame, built from pandas through Arrow, and
+    the result over the indices."""
     e = g.edges.select(SRC, DST, WEIGHT).toPandas()
     ids, index = np.unique(np.concatenate([e[SRC], e[DST]]), return_inverse=True)
     src, dst = np.split(index, 2)
     res = louvain(src, dst, e[WEIGHT].to_numpy(), len(ids))
     assignment = g.edges.sparkSession.createDataFrame(
-        list(zip(ids.tolist(), res.community.tolist())),
+        pd.DataFrame({"group_id": ids, "community": res.community}),
         schema="group_id string, community long",
     )
     return assignment, res

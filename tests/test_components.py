@@ -1,12 +1,16 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
-reference, plus the Spark entry point's frame."""
+reference, plus the Spark entry point's frame. Also checks that the frames
+built on the driver (these labels, ``louvain_groups``' assignment) are
+local relations."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.graph.components import component_labels, connected_components
 from repro.graph.graph import Graph, graph_from_edges
+from repro.pipeline import louvain_groups
 
 
 def _union_find(n, edges):
@@ -78,3 +82,16 @@ def test_components_rejects_edge_to_unknown_vertex(spark):
     e = spark.createDataFrame([(0, 7, 1.0)], "src long, dst long, weight double")
     with pytest.raises(ValueError, match="vertex id"):
         connected_components(Graph(v, e))
+
+
+def test_driver_frames_are_local_relations(spark):
+    """Frames built on the driver come from pandas through Arrow as a
+    ``LocalRelation``. Built from a Python list they would be a
+    ``LogicalRDD``, read through a forked Python worker."""
+    e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
+    sym = graph_from_edges(spark.createDataFrame(e))
+    ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
+    frames = [connected_components(graph_from_edges(ids)), louvain_groups(sym)[0]]
+    for df in frames:
+        assert df.count() == 4
+        assert df._jdf.queryExecution().logical().nodeName() == "LocalRelation"

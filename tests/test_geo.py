@@ -1,5 +1,6 @@
-"""Unit tests for repro.geo: Haversine (Spark + numpy), grid cells,
-nearest-station assignment."""
+"""Unit tests for repro.geo: Haversine (Spark + numpy) and grid cells.
+HAC's 50 m station pre-assignment, which uses both, is tested against a
+DuckDB oracle in test_hac_cluster.py."""
 from __future__ import annotations
 
 import math
@@ -14,11 +15,9 @@ from repro.geo import (
     cell_size_deg,
     haversine_col,
     haversine_np,
-    nearest_station,
     pairwise_haversine_np,
     with_grid_cell,
 )
-from repro.oracle import assert_equivalent
 
 # (lat1, lon1, lat2, lon2, expected metres) — computed from the Haversine
 # formula with R=6,371,000 m.
@@ -116,51 +115,3 @@ def test_grid_cell_neighbours_cover_eps_pairs(spark, eps):
     assert (np.abs(ci[ii] - ci[jj]) <= 1).all()
     assert (np.abs(cj[ii] - cj[jj]) <= 1).all()
 
-
-def test_nearest_station_matches_numpy(spark):
-    rng = np.random.default_rng(2)
-    pts = pd.DataFrame(
-        {
-            "location_id": np.arange(100),
-            "lat": rng.uniform(53.28, 53.40, 100),
-            "lon": rng.uniform(-6.4, -6.15, 100),
-        }
-    )
-    st = pd.DataFrame(
-        {
-            "station_id": np.arange(1, 8),
-            "lat": rng.uniform(53.28, 53.40, 7),
-            "lon": rng.uniform(-6.4, -6.15, 7),
-        }
-    )
-    got = (
-        nearest_station(spark.createDataFrame(pts), spark.createDataFrame(st))
-        .toPandas().sort_values("location_id").reset_index(drop=True)
-    )
-    d = haversine_np(
-        pts.lat.to_numpy()[:, None], pts.lon.to_numpy()[:, None],
-        st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
-    )
-    expected_station = st.station_id.to_numpy()[np.argmin(d, axis=1)]
-    np.testing.assert_array_equal(got["nearest_station_id"].to_numpy(), expected_station)
-    np.testing.assert_allclose(got["nearest_station_id_dist_m"].to_numpy(), d.min(axis=1), rtol=1e-9)
-
-
-def test_nearest_station_oracle(spark):
-    """Cross-check the min-struct argmin idiom against DuckDB."""
-    pts = pd.DataFrame({"location_id": [1, 2], "lat": [53.30, 53.35], "lon": [-6.30, -6.25]})
-    st = pd.DataFrame({"station_id": [10, 20], "lat": [53.31, 53.36], "lon": [-6.31, -6.26]})
-    got = nearest_station(spark.createDataFrame(pts), spark.createDataFrame(st)).select(
-        "location_id", F.col("nearest_station_id").alias("sid")
-    )
-    sql = """
-    SELECT p.location_id AS location_id,
-           (SELECT s.station_id FROM st s
-            ORDER BY 2*6371000*ASIN(SQRT(
-               POW(SIN(RADIANS(s.lat-p.lat)/2),2) +
-               COS(RADIANS(p.lat))*COS(RADIANS(s.lat))*POW(SIN(RADIANS(s.lon-p.lon)/2),2))),
-               s.station_id
-            LIMIT 1) AS sid
-    FROM pts p
-    """
-    assert_equivalent(got, sql, pts=pts, st=st)

@@ -1,7 +1,7 @@
 """End-to-end HAC candidate construction on constructed geometries:
-50 m pre-assignment, eps-component decomposition, exact per-component
-complete linkage, centroid computation; a seeded blob scene against a
-brute-force oracle."""
+50 m pre-assignment (against a DuckDB oracle and a numpy brute force),
+eps-component decomposition, exact per-component complete linkage,
+centroid computation; a seeded blob scene against a brute-force oracle."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,9 +9,10 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.geo import haversine_np, pairwise_haversine_np
+from repro.geo import cell_size_deg, haversine_np, pairwise_haversine_np
 from repro.hac.cluster import build_candidates
 from repro.hac.linkage import complete_linkage_labels
+from repro.oracle import assert_equivalent
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
@@ -85,24 +86,41 @@ def test_groups_table_contents(scene):
     assert srow["station_id"] == 7
 
 
-def test_candidate_centroid_is_member_mean(scene, spark):
-    locations, stations = scene
-    res = build_candidates(locations, stations)
-    a = {r["location_id"]: r["group_id"] for r in res.assignment.collect()}
-    cloud_gid = a[2]
-    loc_pdf = locations.toPandas().set_index("location_id")
-    expected_lat = loc_pdf.loc[[2, 3, 4], "lat"].mean()
-    expected_lon = loc_pdf.loc[[2, 3, 4], "lon"].mean()
-    row = [r for r in res.groups.collect() if r["group_id"] == cloud_gid][0]
-    assert row["lat"] == pytest.approx(expected_lat)
-    assert row["lon"] == pytest.approx(expected_lon)
+@pytest.fixture()
+def tight_cloud(spark):
+    """Twelve points within ~40 m of each other, 500 m from one station:
+    one candidate cluster. Ids run against the row order, and the pairwise
+    mean (numpy sums pairwise from eight terms on) differs in the last bit
+    from the sequential one on this scene."""
+    rng = np.random.default_rng(8)
+    lat, lon = _pt(500 + rng.uniform(-14, 14, 12), rng.uniform(-14, 14, 12))
+    pdf = pd.DataFrame({"location_id": np.arange(12, 0, -1) * 5, "lat": lat, "lon": lon})
+    stations = spark.createDataFrame(
+        pd.DataFrame({"station_id": [7], "lat": [LAT0], "lon": [LON0]})
+    )
+    return pdf, stations
+
+
+def test_candidate_centroid_is_member_mean(spark, tight_cloud):
+    """The centroid is the sum of the member coordinates in location-id
+    order divided by the count, to the last bit."""
+    pdf, stations = tight_cloud
+    res = build_candidates(spark.createDataFrame(pdf), stations)
+    (row,) = res.groups.filter(F.col("kind") == "candidate").collect()
+    members = pdf.sort_values("location_id")
+    for col in ("lat", "lon"):
+        total = 0.0
+        for v in members[col]:
+            total += v
+        assert row[col] == total / len(members)
+    assert any(
+        np.mean(members[col].to_numpy()) != row[col] for col in ("lat", "lon")
+    )
 
 
 def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
     """Paper Rule 1 on real generated data: no two members of any
     candidate cluster are more than 100 m apart."""
-    from repro.hac.cluster import build_candidates
-
     res = build_candidates(cleaned_small.locations, cleaned_small.stations)
     pdf = (
         res.assignment.filter(F.col("kind") == "candidate")
@@ -119,22 +137,102 @@ def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
 
 
 def test_preassign_rule_on_generated_data(spark, cleaned_small):
-    """Every location within 50 m of a station is station-assigned, and
-    every candidate-assigned location is > 50 m from all stations."""
-    from repro.geo import nearest_station
-
+    """Against a numpy brute force over all stations: every location
+    within 50 m of a station is assigned to the nearest one (ties to the
+    smaller id), and every other location is a candidate."""
     res = build_candidates(cleaned_small.locations, cleaned_small.stations)
-    near = nearest_station(
-        cleaned_small.locations.select("location_id", "lat", "lon"),
-        cleaned_small.stations.select("station_id", "lat", "lon"),
-        out_col="ns",
-    ).select("location_id", "ns_dist_m")
-    joined = res.assignment.join(near, "location_id").collect()
-    for r in joined:
-        if r["ns_dist_m"] <= 50.0:
-            assert r["kind"] == "station"
-        else:
-            assert r["kind"] == "candidate"
+    got = res.assignment.toPandas().merge(
+        cleaned_small.locations.select("location_id", "lat", "lon").toPandas(),
+        on="location_id",
+    )
+    st = cleaned_small.stations.toPandas().sort_values("station_id", ignore_index=True)
+    d = haversine_np(
+        got.lat.to_numpy()[:, None], got.lon.to_numpy()[:, None],
+        st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
+    )
+    near = d.min(axis=1) <= 50.0
+    assert near.any() and (~near).any()
+    assert (got.kind[near] == "station").all()
+    assert (got.kind[~near] == "candidate").all()
+    nearest = "S" + st.station_id.astype("int64").astype(str).to_numpy()[d.argmin(axis=1)]
+    assert (got.group_id.to_numpy()[near] == nearest[near]).all()
+
+
+def test_build_candidates_requires_a_station(scene):
+    locations, stations = scene
+    with pytest.raises(ValueError, match="stations"):
+        build_candidates(locations, stations.limit(0))
+
+
+def test_every_location_near_a_station(scene):
+    """No free point: the candidate side is empty and ``groups`` holds
+    only the stations."""
+    locations, stations = scene
+    res = build_candidates(locations.filter(F.col("location_id") == 1), stations)
+    assert res.assignment.schema.simpleString() == (
+        "struct<location_id:bigint,group_id:string,kind:string>"
+    )
+    assert [tuple(r) for r in res.assignment.collect()] == [(1, "S7", "station")]
+    assert [tuple(r) for r in res.groups.collect()] == [("S7", "station", LAT0, LON0, 7)]
+
+
+# HAC's pre-assignment as SQL: the nearest station within 50 m, exact
+# distance ties to the smaller station id; locations without one are free.
+HAVERSINE_SQL = """2*6371000*ASIN(SQRT(
+    POW(SIN(RADIANS(s.lat-p.lat)/2),2) +
+    COS(RADIANS(p.lat))*COS(RADIANS(s.lat))*POW(SIN(RADIANS(s.lon-p.lon)/2),2)))"""
+PREASSIGN_SQL = f"""
+SELECT p.location_id AS location_id,
+       COALESCE((SELECT 'S' || CAST(s.station_id AS VARCHAR) FROM st s
+                 WHERE {HAVERSINE_SQL} <= 50
+                 ORDER BY {HAVERSINE_SQL}, s.station_id
+                 LIMIT 1), 'free') AS group_id
+FROM pts p
+"""
+
+
+@pytest.fixture(scope="module")
+def preassign_scene():
+    """Stations 3, 9 and 12/5 (two stations at one coordinate), 400
+    seeded points within 80 m of them, one point 49.9 m and one 50.1 m
+    from station 9. Returns (points, stations) as pandas frames."""
+    st_m = {3: (0.0, 0.0), 12: (300.0, 0.0), 5: (300.0, 0.0), 9: (0.0, 400.0)}
+    rng = np.random.default_rng(7)
+    centre = np.array([st_m[3], st_m[12], st_m[9]])[rng.integers(0, 3, 400)]
+    r, a = 80 * np.sqrt(rng.uniform(0, 1, 400)), rng.uniform(0, 2 * np.pi, 400)
+    xy = np.vstack([centre + np.c_[r * np.cos(a), r * np.sin(a)], [(0, 449.9), (-50.1, 400)]])
+    lat, lon = _pt(xy[:, 0], xy[:, 1])
+    pts = pd.DataFrame({"location_id": rng.permutation(len(xy)) + 100, "lat": lat, "lon": lon})
+    st_lat, st_lon = _pt(*np.array(list(st_m.values())).T)
+    st = pd.DataFrame({"station_id": list(st_m), "lat": st_lat, "lon": st_lon})
+    return pts, st
+
+
+def test_preassign_matches_sql_oracle(spark, preassign_scene):
+    pts, st = preassign_scene
+    # The scene holds the edge cases: points whose station lies in a
+    # diagonal 50 m grid cell, the 49.9 m / 50.1 m pair, and points
+    # assigned to the duplicated station pair.
+    d = haversine_np(
+        pts.lat.to_numpy()[:, None], pts.lon.to_numpy()[:, None],
+        st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
+    )
+    assigned = d.min(axis=1) <= 50.0
+    nearest = d.argmin(axis=1)
+    dlat, dlon = cell_size_deg(50.0, 54.0)
+    di = np.floor(pts.lat.to_numpy() / dlat) - np.floor(st.lat.to_numpy()[nearest] / dlat)
+    dj = np.floor(pts.lon.to_numpy() / dlon) - np.floor(st.lon.to_numpy()[nearest] / dlon)
+    assert (assigned & (np.abs(di) == 1) & (np.abs(dj) == 1)).any()
+    boundary = np.sort(d[-2:, list(st.station_id).index(9)])
+    assert 49.8 < boundary[0] < 50.0 < boundary[1] < 50.2
+    assert (assigned & np.isin(st.station_id.to_numpy()[nearest], [12, 5])).sum() > 10
+
+    res = build_candidates(spark.createDataFrame(pts), spark.createDataFrame(st))
+    got = res.assignment.select(
+        "location_id",
+        F.when(F.col("kind") == "station", F.col("group_id")).otherwise("free").alias("group_id"),
+    )
+    assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
 
 
 STATIONS_M = {3: (0.0, 0.0), 8: (1500.0, 200.0)}
