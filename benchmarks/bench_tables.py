@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import tables
-from repro.graph.builder import graph_stats, trips_with_groups
+from repro.graph.builder import graph_stats, pair_counts, trips_with_groups
 from repro.hac.cluster import build_candidates
 from repro.moby.cleaning import clean
 from repro.pipeline import run_communities
@@ -29,7 +29,7 @@ def _table2(r):
     """HAC candidate construction (eps-graph, connected components, exact
     complete linkage) + candidate-graph statistics."""
     cand = build_candidates(r.cleaned.locations, r.cleaned.stations)
-    stats = graph_stats(trips_with_groups(r.cleaned.rentals, cand.assignment))
+    stats = graph_stats(pair_counts(trips_with_groups(r.cleaned.rentals, cand.assignment)))
     assert stats.n_trips == r.cleaned.clean_rentals
     assert stats.directed_edges >= stats.undirected_edges
     return (
@@ -42,7 +42,7 @@ def _table2(r):
 def _table3(r):
     """Algorithm 1 (ranking + selection + reassignment)."""
     sel = select_stations(
-        r.candidates.groups, r.candidate_trips, r.cleaned.locations, r.candidates.assignment
+        r.candidates.groups, r.candidate_pairs, r.cleaned.locations, r.candidates.assignment
     )
     assert sel.n_selected == r.selection.n_selected
     return f"n_selected={sel.n_selected}"

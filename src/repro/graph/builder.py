@@ -2,7 +2,11 @@
 
 - :func:`trips_with_groups` resolves both rental endpoints to group ids and
   attaches the temporal features (ISO day-of-week 1..7, start hour 0..23).
-- :func:`graph_stats` computes the Table II measures of a trip set.
+- :func:`pair_counts` collects the trips per directed group pair, the
+  small driver-side table (one row per group pair: 14k rows for the
+  candidate graph at SF=1) that Table II, Algorithm 1's degrees and Table
+  III read.
+- :func:`graph_stats` computes the Table II measures from that table.
 - :func:`temporal_graph` aggregates trips into a weighted station graph at
   one of the paper's three granularities:
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -80,14 +85,16 @@ class GraphStats:
     n_trips: int
 
 
-def graph_stats(trips: DataFrame) -> GraphStats:
-    """Count nodes/edges/trips of the (multi)graph induced by ``trips``
-    (columns ``src_group``/``dst_group``), with and without self-loops.
+def pair_counts(trips: DataFrame) -> pd.DataFrame:
+    """Trips per directed group pair, ``(src_group, dst_group, count)``,
+    collected by one Spark action. Row order follows the partitioning."""
+    return trips.groupBy("src_group", "dst_group").count().toPandas()
 
-    One Spark job counts the trips per directed group pair; that table has
-    at most a few thousand rows (~16k at SF=1), so the measures are derived
-    from it on the driver."""
-    pairs = trips.groupBy("src_group", "dst_group").count().toPandas()
+
+def graph_stats(pairs: pd.DataFrame) -> GraphStats:
+    """Count nodes/edges/trips of the (multi)graph whose directed group
+    pairs and trip counts are ``pairs`` (from :func:`pair_counts`), with
+    and without self-loops."""
     src, dst = pairs["src_group"], pairs["dst_group"]
     loops = int((src == dst).sum())
     undirected = len({(min(u, v), max(u, v)) for u, v in zip(src, dst)})

@@ -8,16 +8,18 @@ Pipeline:
    immovable group centroids. This is an eps-grid join at 50 m
    (:mod:`repro.hac.proximity`): each location stays in its home cell, the
    stations are replicated to their 3x3 neighbouring cells and broadcast,
-   so every station within 50 m of a location meets it in the join. The
-   pairs are filtered to <= 50 m and the minimum ``(distance,
-   station_id)`` per location picks the station. The free locations are
-   the rest (a left-anti join).
-2. **eps decomposition** — the free locations are collected once with
-   their coordinates and split into connected components of the 100 m
-   proximity graph (distributed grid join in Spark over the collected
-   points handed back as a local frame, components labelled on the
-   driver). Complete-linkage clusters with diameter <= 100 m are always
-   subsets of such components, so this decomposition is *lossless*.
+   so every station within 50 m of a location meets it in a left join.
+   Per location, the minimum ``(distance, station_id)`` over the pairs
+   within 50 m picks the station, null when there is none. That one table
+   (every location with its coordinates and its station or null) is
+   collected once; the driver splits it into station-assigned and free
+   locations.
+2. **eps decomposition** — the free locations are split into connected
+   components of the 100 m proximity graph (distributed grid join in
+   Spark over the free points handed back as a local frame, components
+   labelled on the driver). Complete-linkage clusters with diameter
+   <= 100 m are always subsets of such components, so this decomposition
+   is *lossless*.
 3. **Exact HAC** — complete-linkage clustering with the 100 m diameter
    cutoff runs per component on the driver (a few thousand points in
    components of at most ~100), each component sorted by location id so
@@ -25,10 +27,12 @@ Pipeline:
 4. **Centroids** — each candidate cluster is represented by the mean of
    its member coordinates, computed on the driver as the sequential sum
    in location-id order divided by the member count; station groups by
-   the station coordinate. The groups table is one local frame.
+   the station coordinate.
 
-Every frame built on the driver goes to Spark from pandas through Arrow
-(a ``LocalRelation``), so no Python worker process is started.
+The assignment and the groups table are each one frame built on the
+driver. Every such frame goes to Spark from pandas through Arrow (a
+``LocalRelation``), so no Python worker process is started, and a local
+relation has no lineage to truncate, so nothing is checkpointed.
 
 Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``.
 """
@@ -84,7 +88,8 @@ def build_candidates(
     if st.empty:
         raise ValueError("build_candidates: the stations table is empty")
 
-    # Pre-assignment: the eps-grid join at pre_assign_m, min (dist, id).
+    # Pre-assignment: the left eps-grid join at pre_assign_m; per location
+    # the min (dist, id) within range, or null.
     pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=pre_assign_m)
     st_cells = neighbour_cells(
         with_grid_cell(
@@ -96,24 +101,23 @@ def build_candidates(
         )
     )
     dist = haversine_col(F.col("lat"), F.col("lon"), F.col("st_lat"), F.col("st_lon"))
-    near = (
-        pts.join(F.broadcast(st_cells), ["cell_i", "cell_j"])
+    near = F.when(
+        F.col("dist_m") <= F.lit(float(pre_assign_m)), F.struct("dist_m", "station_id")
+    )
+    pre = (
+        pts.join(F.broadcast(st_cells), ["cell_i", "cell_j"], "left")
         .withColumn("dist_m", dist)
-        .filter(F.col("dist_m") <= F.lit(float(pre_assign_m)))
-        .groupBy("location_id")
-        .agg(F.min(F.struct("dist_m", "station_id")).alias("best"))
+        .groupBy("location_id", "lat", "lon")
+        .agg(F.min(near).alias("best"))
+        .select("location_id", "lat", "lon", F.col("best.station_id").alias("station_id"))
+        .toPandas()
     )
-    station_assigned = near.select(
-        "location_id",
-        F.concat(F.lit("S"), F.col("best.station_id")).alias("group_id"),
-        F.lit("station").alias("kind"),
-    )
-    free = pts.join(near, "location_id", "left_anti").select("location_id", "lat", "lon")
+    assigned = pre["station_id"].notna()
 
-    # eps-components of the free points, collected once. The collect hands
-    # rows over in partition order; the sort makes the linkage's tie-breaks
-    # and cluster numbering depend on the ids alone.
-    free_pdf = free.toPandas()
+    # eps-components of the free points. The collect hands rows over in
+    # partition order; the sort makes the linkage's tie-breaks and cluster
+    # numbering depend on the ids alone.
+    free_pdf = pre.loc[~assigned, ["location_id", "lat", "lon"]]
     free = spark.createDataFrame(free_pdf, schema="location_id long, lat double, lon double")
     edges = eps_edges(free, eps_m=max_diameter_m).select(
         F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
@@ -131,13 +135,18 @@ def build_candidates(
         group_id.extend(f"C{comp_id}#{k}" for k in labels)
     pdf["group_id"] = pd.Series(group_id, dtype=object)
 
-    candidate_assigned = spark.createDataFrame(
-        pdf[["location_id", "group_id"]], schema="location_id long, group_id string"
-    ).select("location_id", "group_id", F.lit("candidate").alias("kind"))
-    # localCheckpoint (not cache): downstream stages reference this frame
-    # many times and nest it inside further joins — materialising here
-    # keeps their logical plans shallow (a cache does not truncate lineage).
-    assignment = station_assigned.unionByName(candidate_assigned).localCheckpoint()
+    station_rows = pd.DataFrame({
+        "location_id": pre["location_id"][assigned],
+        "group_id": "S" + pre["station_id"][assigned].astype("int64").astype(str),
+        "kind": "station",
+    })
+    assignment = pd.concat(
+        [station_rows, pdf[["location_id", "group_id"]].assign(kind="candidate")],
+        ignore_index=True,
+    ).sort_values("location_id", ignore_index=True)
+    assignment = spark.createDataFrame(
+        assignment, schema="location_id long, group_id string, kind string"
+    )
 
     # Each group's rows are in location-id order (pdf is sorted by
     # component, then location id, and a group lies in one component).

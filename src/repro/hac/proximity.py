@@ -8,7 +8,8 @@ cell, equi-join on cell id, then filter by exact Haversine distance.
 :func:`eps_edges` joins the points with themselves and emits each
 unordered pair once (``src < dst``); HAC's 50 m station pre-assignment
 (:mod:`repro.hac.cluster`) joins the locations with the replicated
-stations.
+stations. Both joins broadcast one side (the home-cell points, the
+stations), so no point is shuffled.
 """
 from __future__ import annotations
 
@@ -61,7 +62,10 @@ def eps_edges(
             F.col("lon").alias("lon_b"), "cell_i", "cell_j",
         )
     )
-    pairs = left.join(right, ["cell_i", "cell_j"]).filter(F.col("src") < F.col("dst"))
+    # the home-cell side has one row per point, the other nine: broadcast it
+    pairs = F.broadcast(left).join(right, ["cell_i", "cell_j"]).filter(
+        F.col("src") < F.col("dst")
+    )
     dist = haversine_col(
         F.col("lat_a"), F.col("lon_a"), F.col("lat_b"), F.col("lon_b")
     )

@@ -10,9 +10,15 @@ Removed entries:
 
 All rule evaluation happens in Catalyst (joins/filters); only the Table I
 counts are collected, one Spark action per row-set: the raw tables, then
-the cleaned ones. Each action aggregates the locations (rows and
-``count_if(is_station)``) and the rentals (rows) and cross-joins the two
-one-row results. The surviving rentals are materialised first and rule 6
+the cleaned ones. Each action is one global aggregate over the union of
+the locations and the rentals, counting stations, locations and rentals
+with ``count_if``.
+
+The semi-joins broadcast their right side, so the rules shuffle no row:
+rules 1-5 check both rental endpoints against the good location ids
+(~14k at SF=1), and rule 6 checks the good locations against the
+surviving rentals' endpoint ids, duplicates included (a semi-join needs
+no ``distinct``). The surviving rentals are materialised first and rule 6
 reads them, so the two endpoint semi-joins run once; the cleaned counts
 read both materialised tables.
 """
@@ -58,12 +64,16 @@ def on_land(lat_col, lon_col):
 
 def _table1_counts(locations: DataFrame, rentals: DataFrame) -> tuple[int, int, int]:
     """``(stations, rentals, locations)`` row counts, taken by one Spark
-    action: the locations aggregate cross-joined with the rentals one."""
-    loc = locations.agg(
-        F.count_if(F.col("is_station")).alias("stations"),
-        F.count(F.lit(1)).alias("locations"),
+    action: one global aggregate over the two tables' rows, each tagged
+    with its table, so a single exchange serves both."""
+    rows = locations.select("is_station", F.lit(True).alias("is_location")).unionByName(
+        rentals.select(F.lit(False).alias("is_station"), F.lit(False).alias("is_location"))
     )
-    row = loc.crossJoin(rentals.agg(F.count(F.lit(1)).alias("rentals"))).first()
+    row = rows.agg(
+        F.count_if(F.col("is_station")).alias("stations"),
+        F.count_if(~F.col("is_location")).alias("rentals"),
+        F.count_if(F.col("is_location")).alias("locations"),
+    ).first()
     return row["stations"], row["rentals"], row["locations"]
 
 
@@ -79,7 +89,7 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     # Rules 4 + 5 + (1-3 via semi-join on surviving locations): a rental
     # survives iff both endpoint ids are present and resolve to a good
     # location.
-    good_ids = good_loc.select(F.col("location_id").alias("__lid"))
+    good_ids = good_loc.select("location_id")
     r = rentals.filter(
         F.col("rental_location_id").isNotNull()
         & F.col("return_location_id").isNotNull()
@@ -89,22 +99,20 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     # here keeps all later logical plans shallow. The rentals go first so
     # that rule 6 below reads them instead of re-running both semi-joins.
     r = r.join(
-        good_ids.withColumnRenamed("__lid", "rental_location_id"),
+        F.broadcast(good_ids.withColumnRenamed("location_id", "rental_location_id")),
         "rental_location_id",
         "left_semi",
     ).join(
-        good_ids.withColumnRenamed("__lid", "return_location_id"),
+        F.broadcast(good_ids.withColumnRenamed("location_id", "return_location_id")),
         "return_location_id",
         "left_semi",
     ).localCheckpoint()
 
     # Rule 6: drop locations never referenced by a surviving rental.
-    refs = (
-        r.select(F.col("rental_location_id").alias("location_id"))
-        .unionByName(r.select(F.col("return_location_id").alias("location_id")))
-        .distinct()
+    refs = r.select(F.col("rental_location_id").alias("location_id")).unionByName(
+        r.select(F.col("return_location_id").alias("location_id"))
     )
-    loc_clean = good_loc.join(refs, "location_id", "left_semi").localCheckpoint()
+    loc_clean = good_loc.join(F.broadcast(refs), "location_id", "left_semi").localCheckpoint()
 
     stations = loc_clean.filter(F.col("is_station")).select(
         "location_id", "lat", "lon", F.col("station_id").cast("long").alias("station_id")

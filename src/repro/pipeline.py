@@ -19,6 +19,7 @@ from repro.analysis.communities import community_table, intra_community_share
 from repro.graph.builder import (
     GraphStats,
     graph_stats,
+    pair_counts,
     temporal_graph,
     trips_with_groups,
 )
@@ -48,6 +49,7 @@ class PipelineResult:
     cleaned: CleanResult
     candidates: CandidateResult
     candidate_trips: DataFrame
+    candidate_pairs: pd.DataFrame  # (src_group, dst_group, count)
     candidate_stats: GraphStats
     selection: SelectionResult
     selected_trips: DataFrame
@@ -86,14 +88,18 @@ def run_pipeline(
     cleaned = clean(data.locations, data.rentals)
 
     candidates = build_candidates(cleaned.locations, cleaned.stations)
-    candidate_trips = trips_with_groups(
-        cleaned.rentals, candidates.assignment
-    ).localCheckpoint()
-    candidate_stats = graph_stats(candidate_trips)
+    # Table II and Algorithm 1 read the candidate graph from one collected
+    # pair table, so its trips are not materialised. Its assignment (one
+    # row per location) is broadcast, so no rental is shuffled; the
+    # selected trips keep their shuffle joins, whose output partitioning
+    # the community stage reads.
+    candidate_trips = trips_with_groups(cleaned.rentals, F.broadcast(candidates.assignment))
+    candidate_pairs = pair_counts(candidate_trips)
+    candidate_stats = graph_stats(candidate_pairs)
 
     selection = select_stations(
         candidates.groups,
-        candidate_trips,
+        candidate_pairs,
         cleaned.locations,
         candidates.assignment,
     )
@@ -107,6 +113,7 @@ def run_pipeline(
         cleaned=cleaned,
         candidates=candidates,
         candidate_trips=candidate_trips,
+        candidate_pairs=candidate_pairs,
         candidate_stats=candidate_stats,
         selection=selection,
         selected_trips=selected_trips,

@@ -11,19 +11,21 @@ Rules:
    station, and (iterated) >= 250 m from every surviving higher-degree
    candidate.
 
-Only the degrees are trip-scale work: they are computed on the candidate
-graph in Spark (weighted in+out degree = trips touching the group,
-self-trips counted twice). They are collected once together with the
-groups table — at most a few thousand rows (1,080 candidates + 92 stations
-in the paper) — and the threshold, the 250 m rule against fixed stations
-and the greedy suppression loop (Algorithm 1 lines 10-16, inherently
-sequential) run on the driver in numpy.
+The degrees (weighted in+out degree = trips touching the group,
+self-trips counted twice) are sums over the candidate graph's collected
+pair table (:func:`repro.graph.builder.pair_counts`, which Table II reads
+too). The groups table is collected once — at most a few thousand rows
+(1,080 candidates + 92 stations in the paper) — and the degrees, the
+threshold, the 250 m rule against fixed stations and the greedy
+suppression loop (Algorithm 1 lines 10-16, inherently sequential) run on
+the driver in numpy and pandas.
 
 After selection, every location of an unselected candidate is reassigned
 to the nearest of the (old + new) stations, so total trips are conserved
 (paper: "All trips from non-selected stations were redirected...").
-The locations are collected once (~14k rows at SF=1) for that argmin, and
-the final mapping goes back to Spark as one local frame.
+The assignment and the locations are collected once each (~14k rows at
+SF=1) and joined on the driver for that argmin, and the final mapping
+goes back to Spark as one local frame.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.geo import haversine_np
 
@@ -54,13 +55,15 @@ class SelectionResult:
     station_kinds: DataFrame
 
 
-def group_degrees(trips: DataFrame) -> DataFrame:
-    """Weighted total degree per group: trips out + trips in (self-trips
+def group_degrees(pairs: pd.DataFrame) -> pd.DataFrame:
+    """Weighted total degree per group from the pair table
+    ``(src_group, dst_group, count)``: trips out + trips in (self-trips
     count twice), as ``(group_id, degree)``."""
-    ends = trips.select(F.col("src_group").alias("group_id")).unionByName(
-        trips.select(F.col("dst_group").alias("group_id"))
-    )
-    return ends.groupBy("group_id").agg(F.count(F.lit(1)).cast("double").alias("degree"))
+    ends = pd.concat([
+        pairs[[end, "count"]].set_axis(["group_id", "degree"], axis=1)
+        for end in ("src_group", "dst_group")
+    ])
+    return ends.groupby("group_id", as_index=False)["degree"].sum().astype({"degree": float})
 
 
 def _suppress(cand: pd.DataFrame, min_dist_m: float) -> np.ndarray:
@@ -93,7 +96,7 @@ def _distances(points: pd.DataFrame, stations: pd.DataFrame) -> np.ndarray:
 
 def select_stations(
     candidate_groups: DataFrame,
-    trips: DataFrame,
+    pairs: pd.DataFrame,
     locations: DataFrame,
     assignment: DataFrame,
     *,
@@ -102,8 +105,9 @@ def select_stations(
     """Run Algorithm 1.
 
     ``candidate_groups``: the HAC groups table (group_id, kind, lat, lon,
-    station_id); ``trips``: candidate-graph trips (src_group/dst_group);
-    ``locations``: cleaned locations (location_id, lat, lon);
+    station_id); ``pairs``: the candidate graph's trips per directed
+    group pair (:func:`repro.graph.builder.pair_counts`); ``locations``:
+    cleaned locations (location_id, lat, lon);
     ``assignment``: location_id -> group_id/kind from the HAC stage.
     Raises ``ValueError`` when the groups table has no fixed station: the
     threshold and both distance rules are defined against fixed stations.
@@ -111,7 +115,7 @@ def select_stations(
     # Sorted by group_id so that no output follows the collected row order.
     g = (
         candidate_groups.select("group_id", "kind", "lat", "lon").toPandas()
-        .merge(group_degrees(trips).toPandas(), on="group_id", how="left")
+        .merge(group_degrees(pairs), on="group_id", how="left")
         .fillna({"degree": 0.0})
         .sort_values("group_id", ignore_index=True)
     )
@@ -137,10 +141,8 @@ def select_stations(
     # Orphans take the nearest old or new station; argmin over stations
     # sorted by group_id keeps the smaller id on an exact distance tie.
     all_stations = pd.concat([stations, sel]).sort_values("group_id", ignore_index=True)
-    loc = (
-        assignment.select("location_id", "group_id")
-        .join(locations.select("location_id", "lat", "lon"), "location_id")
-        .toPandas()
+    loc = assignment.select("location_id", "group_id").toPandas().merge(
+        locations.select("location_id", "lat", "lon").toPandas(), on="location_id"
     )
     orphan = ~loc["group_id"].isin(all_stations["group_id"])
     nearest = _distances(loc[orphan], all_stations).argmin(axis=1)

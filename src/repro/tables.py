@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.graph.builder import pair_counts
 from repro.pipeline import PipelineResult
 
 #: The paper's reported values, used by EXPERIMENTS.md and asserted
@@ -82,9 +83,10 @@ def table3(result: PipelineResult) -> pd.DataFrame:
     pre-existing vs newly selected stations (From = by source station
     kind, To = by destination kind).
 
-    One Spark job counts the trips per directed station pair (at most a
-    few thousand rows); the split is derived from it on the driver."""
-    pairs = result.selected_trips.groupBy("src_group", "dst_group").count().toPandas()
+    One Spark action collects the trips per directed station pair (at
+    most a few thousand rows); the split is derived from it on the
+    driver."""
+    pairs = pair_counts(result.selected_trips)
     kinds = result.station_kinds.toPandas().set_index("group_id")["is_new"]
     src_new = pairs["src_group"].map(kinds)
     dst_new = pairs["dst_group"].map(kinds)

@@ -1,5 +1,6 @@
-"""Trip-graph builder: endpoint resolution, temporal features, Table II
-stats and the three granularity weightings."""
+"""Trip-graph builder: endpoint resolution, temporal features, the
+collected pair table, Table II stats and the three granularity
+weightings."""
 from __future__ import annotations
 
 import datetime as dt
@@ -11,6 +12,7 @@ from pyspark.sql import functions as F
 from repro.graph.builder import (
     GRANULARITIES,
     graph_stats,
+    pair_counts,
     temporal_graph,
     trips_with_groups,
 )
@@ -77,7 +79,11 @@ def test_trips_with_groups_oracle(spark, rentals, assignment):
 
 
 def test_graph_stats_hand_computed(rentals, assignment):
-    s = graph_stats(trips_with_groups(rentals, assignment))
+    pairs = pair_counts(trips_with_groups(rentals, assignment))
+    assert sorted(map(tuple, pairs[["src_group", "dst_group", "count"]].to_numpy())) == [
+        ("A", "A", 2), ("A", "B", 1), ("B", "A", 1),
+    ]
+    s = graph_stats(pairs)
     # pairs: (A,B), (B,A), (A,A)x2 -> directed 3 (incl loop), loops 1
     assert s.n_nodes == 2
     assert s.directed_edges == 3

@@ -84,6 +84,17 @@ def test_rule6_cascade_after_rental_removal(spark):
     assert res.clean_rentals == 1
 
 
+def test_nothing_survives(spark):
+    """No good location: both broadcast semi-joins see an empty side, and
+    the cleaned tables and counts are empty."""
+    locs = [_loc_row(1, lat=51.9, lon=-8.5, is_station=True, station_id=1), _loc_row(2, lat=None)]
+    rentals = [_rental_row(1, 1, 2), _rental_row(2, 1, None)]
+    res = clean(*_frames(spark, locs, rentals))
+    assert (res.raw_stations, res.raw_rentals, res.raw_locations) == (1, 2, 2)
+    assert (res.clean_stations, res.clean_rentals, res.clean_locations) == (0, 0, 0)
+    assert res.rentals.count() == res.locations.count() == res.stations.count() == 0
+
+
 def test_bad_station_removed_from_station_count(spark):
     locs = [
         _loc_row(1, is_station=True, station_id=1),
@@ -143,3 +154,32 @@ def test_clean_counts_match_oracle(spark, moby_small, cleaned_small):
       AND r.return_location_id IN (SELECT location_id FROM good_loc)
     """
     assert_equivalent(got, sql, rentals=moby_small.rentals_pdf, locations=moby_small.locations_pdf)
+
+
+def _rows(df):
+    return sorted(tuple(r) for r in df.collect())
+
+
+def test_clean_independent_of_row_order_and_partitions(spark, moby_small, cleaned_small):
+    """A row-shuffled copy of the raw tables cleans to the same rows and
+    Table I counts at 1 and 7 shuffle partitions."""
+    want = cleaned_small
+    counts = ("raw_stations", "raw_rentals", "raw_locations",
+              "clean_stations", "clean_rentals", "clean_locations")
+    locations = spark.createDataFrame(
+        moby_small.locations_pdf.sample(frac=1.0, random_state=3), moby_small.locations.schema
+    )
+    rentals = spark.createDataFrame(
+        moby_small.rentals_pdf.sample(frac=1.0, random_state=4), moby_small.rentals.schema
+    )
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    try:
+        for parts in ("1", "7"):
+            spark.conf.set(key, parts)
+            got = clean(locations, rentals)
+            assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+            for table in ("locations", "rentals", "stations"):
+                assert _rows(getattr(got, table)) == _rows(getattr(want, table))
+    finally:
+        spark.conf.set(key, old)

@@ -1,7 +1,7 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
 reference, plus the Spark entry point's frame. Also checks that the frames
-built on the driver (these labels, ``louvain_groups``' assignment) are
-local relations."""
+built on the driver (these labels, HAC's assignment and groups,
+``louvain_groups``' assignment) are local relations."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from repro.graph.components import component_labels, connected_components
 from repro.graph.graph import Graph, graph_from_edges
+from repro.hac.cluster import build_candidates
 from repro.pipeline import louvain_groups
 
 
@@ -91,7 +92,18 @@ def test_driver_frames_are_local_relations(spark):
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
     sym = graph_from_edges(spark.createDataFrame(e))
     ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
-    frames = [connected_components(graph_from_edges(ids)), louvain_groups(sym)[0]]
+    # two locations at a station, two 3 m apart 1.1 km away
+    locs = pd.DataFrame(
+        {"location_id": [1, 2, 3, 4], "lat": [53.34, 53.34, 53.35, 53.35],
+         "lon": [-6.27, -6.27, -6.27, -6.27005]}
+    )
+    st = pd.DataFrame({"station_id": [7], "lat": [53.34], "lon": [-6.27]})
+    hac = build_candidates(spark.createDataFrame(locs), spark.createDataFrame(st))
+    frames = [
+        connected_components(graph_from_edges(ids)), louvain_groups(sym)[0], hac.assignment,
+    ]
     for df in frames:
         assert df.count() == 4
         assert df._jdf.queryExecution().logical().nodeName() == "LocalRelation"
+    assert hac.groups.count() == 2
+    assert hac.groups._jdf.queryExecution().logical().nodeName() == "LocalRelation"

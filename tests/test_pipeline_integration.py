@@ -51,10 +51,17 @@ def test_station_groups_are_92(pipeline_small):
 
 
 def test_selection_threshold_is_min_station_degree(pipeline_small):
-    from repro.stations.selection import group_degrees
-
+    """The threshold is the smallest fixed-station degree, counted here in
+    Spark over the candidate trips' endpoints (selection reads the pair
+    table instead)."""
     r = pipeline_small
-    deg = group_degrees(r.candidate_trips)
+    trips = r.candidate_trips
+    deg = (
+        trips.select(F.col("src_group").alias("group_id"))
+        .unionByName(trips.select(F.col("dst_group").alias("group_id")))
+        .groupBy("group_id")
+        .agg(F.count(F.lit(1)).cast("double").alias("degree"))
+    )
     st_deg = (
         r.candidates.groups.filter(F.col("kind") == "station")
         .join(deg, "group_id", "left")

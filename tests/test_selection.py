@@ -8,6 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.geo import haversine_np
+from repro.graph.builder import pair_counts
 from repro.oracle import assert_equivalent
 from repro.stations.selection import _suppress, group_degrees, select_stations
 
@@ -34,15 +35,20 @@ def _trips_df(spark, pairs):
     return spark.createDataFrame(pdf)
 
 
+def _pairs(spark, trips):
+    """The collected pair table of ``trips``, (src, dst) group pairs."""
+    return pair_counts(_trips_df(spark, trips))
+
+
 def test_group_degrees_counts_both_endpoints(spark):
-    trips = _trips_df(spark, [("A", "B"), ("B", "A"), ("A", "A")])
-    d = {r["group_id"]: r["degree"] for r in group_degrees(trips).collect()}
-    assert d == {"A": 4.0, "B": 2.0}  # self trip counts twice
+    deg = group_degrees(_pairs(spark, [("A", "B"), ("B", "A"), ("A", "A")]))
+    assert dict(zip(deg["group_id"], deg["degree"])) == {"A": 4.0, "B": 2.0}  # self trip counts twice
 
 
 def test_group_degrees_oracle(spark):
-    trips = _trips_df(spark, [("A", "B"), ("B", "C"), ("C", "C")])
-    got = group_degrees(trips).select("group_id", F.col("degree").alias("deg"))
+    """Degrees from the pair table equal the endpoint count over the trips."""
+    trips = _trips_df(spark, [("A", "B"), ("B", "C"), ("C", "C"), ("A", "B"), ("C", "A")])
+    got = group_degrees(pair_counts(trips)).rename(columns={"degree": "deg"})
     sql = """
     SELECT group_id, CAST(COUNT(*) AS DOUBLE) AS deg FROM (
       SELECT src_group AS group_id FROM trips
@@ -140,7 +146,7 @@ def scenario(spark):
         ],
     )
     # degrees: S1=4, S2=6 (threshold 4); Clow=2; Cnear=5; Ca=9; Cb=4
-    trips = _trips_df(
+    pairs = _pairs(
         spark,
         [("S1", "S2")] * 2 + [("S2", "S1")] * 2
         + [("Clow", "S2")] * 2
@@ -166,20 +172,20 @@ def scenario(spark):
             }
         )
     )
-    return groups, trips, locs, assignment
+    return groups, pairs, locs, assignment
 
 
 def test_select_stations_applies_all_rules(scenario):
-    groups, trips, locs, assignment = scenario
-    res = select_stations(groups, trips, locs, assignment)
+    groups, pairs, locs, assignment = scenario
+    res = select_stations(groups, pairs, locs, assignment)
     assert res.threshold == 4.0
     selected = {r["group_id"] for r in res.selected.collect()}
     assert selected == {"Ca"}
 
 
 def test_select_stations_reassigns_orphans_to_nearest(scenario):
-    groups, trips, locs, assignment = scenario
-    res = select_stations(groups, trips, locs, assignment)
+    groups, pairs, locs, assignment = scenario
+    res = select_stations(groups, pairs, locs, assignment)
     fa = {r["location_id"]: (r["station_group"], r["is_new"]) for r in res.final_assignment.collect()}
     assert fa[1] == ("S1", False) and fa[2] == ("S2", False)
     assert fa[5] == ("Ca", True)
@@ -191,14 +197,15 @@ def test_select_stations_reassigns_orphans_to_nearest(scenario):
 
 
 def _scene_frames(spark, groups, trips, locs):
-    """Spark inputs of ``select_stations`` from pandas: ``groups`` rows
+    """Inputs of ``select_stations`` from pandas: ``groups`` rows
     (group_id, kind, lat, lon, station_id), ``trips`` (src, dst) group
-    pairs, ``locs`` (location_id, group_id, lat, lon)."""
+    pairs (counted through Spark into the pair table), ``locs``
+    (location_id, group_id, lat, lon)."""
     locs = pd.DataFrame(locs, columns=["location_id", "group_id", "lat", "lon"])
     kind = np.where(locs["group_id"].str.startswith("S"), "station", "candidate")
     return (
         _groups_df(spark, groups),
-        _trips_df(spark, trips),
+        _pairs(spark, trips),
         spark.createDataFrame(locs[["location_id", "lat", "lon"]]),
         spark.createDataFrame(locs[["location_id", "group_id"]].assign(kind=kind)),
     )
@@ -291,7 +298,8 @@ def _selection_rows(spark, groups, trips, locs):
 
 def test_selection_independent_of_row_order_and_partitions(spark, city):
     """Row order and shuffle partitioning reach the driver as the order of
-    the collected degrees, groups and locations; no output may follow it."""
+    the collected pair table, groups and locations; no output may follow
+    it."""
     want = _selection_rows(spark, *city)
     assert want[0] == 7.0 and 0 < len(want[1]) < 31
     rng = np.random.default_rng(1)
