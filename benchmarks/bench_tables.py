@@ -29,7 +29,9 @@ def _table2(r):
     """HAC candidate construction (eps-graph, connected components, exact
     complete linkage) + candidate-graph statistics."""
     cand = build_candidates(r.cleaned.locations, r.cleaned.stations)
-    stats = graph_stats(pair_counts(trips_with_groups(r.cleaned.rentals, cand.assignment)))
+    spark = r.cleaned.rentals.sparkSession
+    group_map = spark.createDataFrame(cand.assignment[["location_id", "group_id"]])
+    stats = graph_stats(pair_counts(trips_with_groups(r.cleaned.rentals, group_map)))
     assert stats.n_trips == r.cleaned.clean_rentals
     assert stats.directed_edges >= stats.undirected_edges
     return (
@@ -41,9 +43,7 @@ def _table2(r):
 
 def _table3(r):
     """Algorithm 1 (ranking + selection + reassignment)."""
-    sel = select_stations(
-        r.candidates.groups, r.candidate_pairs, r.cleaned.locations, r.candidates.assignment
-    )
+    sel = select_stations(r.candidates.groups, r.candidate_pairs, r.candidates.assignment)
     assert sel.n_selected == r.selection.n_selected
     return f"n_selected={sel.n_selected}"
 

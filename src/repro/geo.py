@@ -24,6 +24,10 @@ EARTH_RADIUS_M = 6_371_000.0
 #: Metres per degree of latitude (constant on a sphere).
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
+#: Reference latitude of the geo-grid: north of every Dublin location, so
+#: the longitude side of a cell is >= eps there.
+GRID_REF_LAT_DEG = 54.0
+
 
 def haversine_col(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
     """Haversine distance in metres as a Spark SQL column expression (eq. 1).
@@ -68,24 +72,18 @@ def cell_size_deg(eps_m: float, ref_lat_deg: float) -> tuple[float, float]:
 
 
 def with_grid_cell(
-    df: DataFrame,
-    *,
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    eps_m: float,
-    ref_lat_deg: float = 54.0,
-    out_prefix: str = "cell",
+    df: DataFrame, *, lat_col: str = "lat", lon_col: str = "lon", eps_m: float
 ) -> DataFrame:
-    """Attach integer grid coordinates ``<prefix>_i``/``<prefix>_j``.
+    """Attach integer grid coordinates ``cell_i``/``cell_j``.
 
-    Cell side is >= eps in both axes, so eps-neighbours are always in the
-    same cell or one of the 8 adjacent cells — the basis for the distributed
+    Cell side is >= eps in both axes (at latitudes up to
+    :data:`GRID_REF_LAT_DEG`), so eps-neighbours are always in the same
+    cell or one of the 8 adjacent cells — the basis for the distributed
     eps-proximity join in :mod:`repro.hac.proximity`.
     """
-    dlat, dlon = cell_size_deg(eps_m, ref_lat_deg)
+    dlat, dlon = cell_size_deg(eps_m, GRID_REF_LAT_DEG)
     return df.withColumn(
-        f"{out_prefix}_i", F.floor(F.col(lat_col) / F.lit(dlat)).cast("long")
+        "cell_i", F.floor(F.col(lat_col) / F.lit(dlat)).cast("long")
     ).withColumn(
-        f"{out_prefix}_j", F.floor(F.col(lon_col) / F.lit(dlon)).cast("long")
+        "cell_j", F.floor(F.col(lon_col) / F.lit(dlon)).cast("long")
     )
-

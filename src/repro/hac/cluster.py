@@ -29,10 +29,13 @@ Pipeline:
    in location-id order divided by the member count; station groups by
    the station coordinate.
 
-The assignment and the groups table are each one frame built on the
-driver. Every such frame goes to Spark from pandas through Arrow (a
-``LocalRelation``), so no Python worker process is started, and a local
-relation has no lineage to truncate, so nothing is checkpointed.
+The assignment and the groups table are built on the driver and stay
+there as pandas frames: Algorithm 1 reads both on the driver, and the
+pipeline hands Spark only the ``(location_id, group_id)`` map its trip
+join reads. The frames this stage hands to Spark joins (the stations of
+the pre-assignment, the free points of the eps-graph) go from pandas
+through Arrow (a ``LocalRelation``), so no Python worker process is
+started.
 
 Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``.
 """
@@ -57,11 +60,13 @@ MAX_DIAMETER_M = 100.0
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """``assignment``: (location_id, group_id, kind[station|candidate]);
-    ``groups``: (group_id, kind, lat, lon, station_id nullable)."""
+    """Both pandas. ``assignment``: (location_id, group_id,
+    kind[station|candidate], lat, lon), one row per cleaned location,
+    sorted by location id; ``groups``: (group_id, kind, lat, lon,
+    station_id nullable)."""
 
-    assignment: DataFrame
-    groups: DataFrame
+    assignment: pd.DataFrame
+    groups: pd.DataFrame
 
 
 def _sequential_mean(v: pd.Series) -> float:
@@ -70,13 +75,7 @@ def _sequential_mean(v: pd.Series) -> float:
     return np.cumsum(v.to_numpy())[-1] / len(v)
 
 
-def build_candidates(
-    locations: DataFrame,
-    stations: DataFrame,
-    *,
-    pre_assign_m: float = PRE_ASSIGN_M,
-    max_diameter_m: float = MAX_DIAMETER_M,
-) -> CandidateResult:
+def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
     (location_id, lat, lon, station_id). Raises ``ValueError`` when there
@@ -88,21 +87,21 @@ def build_candidates(
     if st.empty:
         raise ValueError("build_candidates: the stations table is empty")
 
-    # Pre-assignment: the left eps-grid join at pre_assign_m; per location
+    # Pre-assignment: the left eps-grid join at PRE_ASSIGN_M; per location
     # the min (dist, id) within range, or null.
-    pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=pre_assign_m)
+    pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=PRE_ASSIGN_M)
     st_cells = neighbour_cells(
         with_grid_cell(
             spark.createDataFrame(
                 st.rename(columns={"lat": "st_lat", "lon": "st_lon"}),
                 schema="station_id long, st_lat double, st_lon double",
             ),
-            lat_col="st_lat", lon_col="st_lon", eps_m=pre_assign_m,
+            lat_col="st_lat", lon_col="st_lon", eps_m=PRE_ASSIGN_M,
         )
     )
     dist = haversine_col(F.col("lat"), F.col("lon"), F.col("st_lat"), F.col("st_lon"))
     near = F.when(
-        F.col("dist_m") <= F.lit(float(pre_assign_m)), F.struct("dist_m", "station_id")
+        F.col("dist_m") <= F.lit(PRE_ASSIGN_M), F.struct("dist_m", "station_id")
     )
     pre = (
         pts.join(F.broadcast(st_cells), ["cell_i", "cell_j"], "left")
@@ -119,7 +118,7 @@ def build_candidates(
     # numbering depend on the ids alone.
     free_pdf = pre.loc[~assigned, ["location_id", "lat", "lon"]]
     free = spark.createDataFrame(free_pdf, schema="location_id long, lat double, lon double")
-    edges = eps_edges(free, eps_m=max_diameter_m).select(
+    edges = eps_edges(free, eps_m=MAX_DIAMETER_M).select(
         F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
     )
     verts = free.select(F.col("location_id").alias("id"))
@@ -130,22 +129,19 @@ def build_candidates(
     group_id: list[str] = []
     for comp_id, c in pdf.groupby("component", sort=False):
         labels = complete_linkage_labels(
-            c["lat"].to_numpy(), c["lon"].to_numpy(), max_diameter_m=max_diameter_m
+            c["lat"].to_numpy(), c["lon"].to_numpy(), max_diameter_m=MAX_DIAMETER_M
         )
         group_id.extend(f"C{comp_id}#{k}" for k in labels)
     pdf["group_id"] = pd.Series(group_id, dtype=object)
 
-    station_rows = pd.DataFrame({
-        "location_id": pre["location_id"][assigned],
-        "group_id": "S" + pre["station_id"][assigned].astype("int64").astype(str),
-        "kind": "station",
-    })
+    station_rows = pre.loc[assigned, ["location_id", "lat", "lon"]].assign(
+        group_id="S" + pre["station_id"][assigned].astype("int64").astype(str),
+        kind="station",
+    )
     assignment = pd.concat(
-        [station_rows, pdf[["location_id", "group_id"]].assign(kind="candidate")],
-        ignore_index=True,
-    ).sort_values("location_id", ignore_index=True)
-    assignment = spark.createDataFrame(
-        assignment, schema="location_id long, group_id string, kind string"
+        [station_rows, pdf.assign(kind="candidate")], ignore_index=True
+    )[["location_id", "group_id", "kind", "lat", "lon"]].sort_values(
+        "location_id", ignore_index=True
     )
 
     # Each group's rows are in location-id order (pdf is sorted by
@@ -160,7 +156,4 @@ def build_candidates(
         ],
         ignore_index=True,
     )[["group_id", "kind", "lat", "lon", "station_id"]].astype({"station_id": "Int64"})
-    groups = spark.createDataFrame(
-        groups, schema="group_id string, kind string, lat double, lon double, station_id long"
-    )
     return CandidateResult(assignment=assignment, groups=groups)

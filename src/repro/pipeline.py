@@ -5,6 +5,12 @@ the Moby tables -> clean (Table I) -> HAC candidates (Table II) ->
 Algorithm 1 selection (Table III) -> Louvain on G_Basic/G_Day/G_Hour
 (Tables IV/V/VI). Each stage's outputs are exposed on the result object
 so tests and benchmarks can exercise them independently.
+
+HAC and Algorithm 1 hand their tables to each other as pandas, on the
+driver. Spark receives only the frames a Spark join reads, each built
+here from pandas through Arrow with an explicit schema: the candidate
+and the final ``(location_id, group_id)`` maps that resolve the rentals
+to groups, and the station kinds the community tables join.
 """
 from __future__ import annotations
 
@@ -48,7 +54,6 @@ class PipelineResult:
     data: MobyData
     cleaned: CleanResult
     candidates: CandidateResult
-    candidate_trips: DataFrame
     candidate_pairs: pd.DataFrame  # (src_group, dst_group, count)
     candidate_stats: GraphStats
     selection: SelectionResult
@@ -89,35 +94,35 @@ def run_pipeline(
 
     candidates = build_candidates(cleaned.locations, cleaned.stations)
     # Table II and Algorithm 1 read the candidate graph from one collected
-    # pair table, so its trips are not materialised. Its assignment (one
-    # row per location) is broadcast, so no rental is shuffled; the
-    # selected trips keep their shuffle joins, whose output partitioning
-    # the community stage reads.
-    candidate_trips = trips_with_groups(cleaned.rentals, F.broadcast(candidates.assignment))
-    candidate_pairs = pair_counts(candidate_trips)
+    # pair table, so its trips are not materialised. Its map (one row per
+    # location) is broadcast, so no rental is shuffled; the selected trips
+    # keep their shuffle joins, whose output partitioning the community
+    # stage reads.
+    candidate_map = spark.createDataFrame(
+        candidates.assignment[["location_id", "group_id"]],
+        schema="location_id long, group_id string",
+    )
+    candidate_pairs = pair_counts(trips_with_groups(cleaned.rentals, F.broadcast(candidate_map)))
     candidate_stats = graph_stats(candidate_pairs)
 
-    selection = select_stations(
-        candidates.groups,
-        candidate_pairs,
-        cleaned.locations,
-        candidates.assignment,
+    selection = select_stations(candidates.groups, candidate_pairs, candidates.assignment)
+    final_map = spark.createDataFrame(
+        selection.final_assignment[["location_id", "station_group"]],
+        schema="location_id long, group_id string",
     )
-    final_assign = selection.final_assignment.select(
-        "location_id", F.col("station_group").alias("group_id")
-    )
-    selected_trips = trips_with_groups(cleaned.rentals, final_assign).localCheckpoint()
+    selected_trips = trips_with_groups(cleaned.rentals, final_map).localCheckpoint()
 
     result = PipelineResult(
         data=data,
         cleaned=cleaned,
         candidates=candidates,
-        candidate_trips=candidate_trips,
         candidate_pairs=candidate_pairs,
         candidate_stats=candidate_stats,
         selection=selection,
         selected_trips=selected_trips,
-        station_kinds=selection.station_kinds,
+        station_kinds=spark.createDataFrame(
+            selection.station_kinds, schema="group_id string, is_new boolean"
+        ),
     )
     for gran in granularities:
         result.communities[gran] = run_communities(result, gran)

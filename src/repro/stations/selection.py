@@ -11,21 +11,22 @@ Rules:
    station, and (iterated) >= 250 m from every surviving higher-degree
    candidate.
 
-The degrees (weighted in+out degree = trips touching the group,
-self-trips counted twice) are sums over the candidate graph's collected
-pair table (:func:`repro.graph.builder.pair_counts`, which Table II reads
-too). The groups table is collected once — at most a few thousand rows
-(1,080 candidates + 92 stations in the paper) — and the degrees, the
-threshold, the 250 m rule against fixed stations and the greedy
-suppression loop (Algorithm 1 lines 10-16, inherently sequential) run on
-the driver in numpy and pandas.
+The whole stage is pandas and numpy on the driver and starts no Spark
+job. Its inputs are already there: HAC's groups table (at most a few
+thousand rows: 1,080 candidates + 92 stations in the paper) and
+assignment (one row per location with its coordinates, ~14k rows at
+SF=1), and the candidate graph's collected pair table
+(:func:`repro.graph.builder.pair_counts`, which Table II reads too). The
+degrees (weighted in+out degree = trips touching the group, self-trips
+counted twice) are sums over that pair table; the threshold, the 250 m
+rule against fixed stations and the greedy suppression loop (Algorithm 1
+lines 10-16, inherently sequential) follow.
 
 After selection, every location of an unselected candidate is reassigned
 to the nearest of the (old + new) stations, so total trips are conserved
 (paper: "All trips from non-selected stations were redirected...").
-The assignment and the locations are collected once each (~14k rows at
-SF=1) and joined on the driver for that argmin, and the final mapping
-goes back to Spark as one local frame.
+The outputs stay pandas; the pipeline builds the Spark frames its joins
+read from them.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.geo import haversine_np
 
@@ -42,17 +42,18 @@ SECONDARY_DISTANCE_M = 250.0
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """``selected``: (group_id, lat, lon, degree) of the new stations;
-    ``threshold``: the degree threshold used; ``final_assignment``:
-    (station_group, location_id, is_new) mapping every location to one of
-    the old+new stations; ``station_kinds``: (group_id, is_new) of every
-    station some location maps to."""
+    """The frames are pandas. ``selected``: (group_id, lat, lon, degree) of
+    the new stations, by group id; ``threshold``: the degree threshold
+    used; ``final_assignment``: (station_group, location_id, is_new)
+    mapping every location to one of the old+new stations, by location
+    id; ``station_kinds``: (group_id, is_new) of every station some
+    location maps to, in the order of its first location."""
 
-    selected: DataFrame
+    selected: pd.DataFrame
     threshold: float
-    final_assignment: DataFrame
+    final_assignment: pd.DataFrame
     n_selected: int
-    station_kinds: DataFrame
+    station_kinds: pd.DataFrame
 
 
 def group_degrees(pairs: pd.DataFrame) -> pd.DataFrame:
@@ -95,26 +96,20 @@ def _distances(points: pd.DataFrame, stations: pd.DataFrame) -> np.ndarray:
 
 
 def select_stations(
-    candidate_groups: DataFrame,
-    pairs: pd.DataFrame,
-    locations: DataFrame,
-    assignment: DataFrame,
-    *,
-    secondary_distance_m: float = SECONDARY_DISTANCE_M,
+    candidate_groups: pd.DataFrame, pairs: pd.DataFrame, assignment: pd.DataFrame
 ) -> SelectionResult:
     """Run Algorithm 1.
 
-    ``candidate_groups``: the HAC groups table (group_id, kind, lat, lon,
-    station_id); ``pairs``: the candidate graph's trips per directed
-    group pair (:func:`repro.graph.builder.pair_counts`); ``locations``:
-    cleaned locations (location_id, lat, lon);
-    ``assignment``: location_id -> group_id/kind from the HAC stage.
+    ``candidate_groups``: the HAC groups table (group_id, kind, lat, lon);
+    ``pairs``: the candidate graph's trips per directed group pair
+    (:func:`repro.graph.builder.pair_counts`); ``assignment``: the HAC
+    assignment (location_id, group_id, lat, lon).
     Raises ``ValueError`` when the groups table has no fixed station: the
     threshold and both distance rules are defined against fixed stations.
     """
-    # Sorted by group_id so that no output follows the collected row order.
+    # Sorted by group_id so that no output follows the input row order.
     g = (
-        candidate_groups.select("group_id", "kind", "lat", "lon").toPandas()
+        candidate_groups[["group_id", "kind", "lat", "lon"]]
         .merge(group_degrees(pairs), on="group_id", how="left")
         .fillna({"degree": 0.0})
         .sort_values("group_id", ignore_index=True)
@@ -128,39 +123,30 @@ def select_stations(
     # Rule 3 + Rule 4 (vs fixed stations), then the sequential suppression.
     survivors = cands[
         (cands["degree"] >= threshold)
-        & (_distances(cands, stations).min(axis=1) >= secondary_distance_m)
+        & (_distances(cands, stations).min(axis=1) >= SECONDARY_DISTANCE_M)
     ]
-    sel = survivors[_suppress(survivors, secondary_distance_m)]
-    spark = candidate_groups.sparkSession
-    selected = spark.createDataFrame(
-        sel[["group_id", "lat", "lon", "degree"]],
-        schema="group_id string, lat double, lon double, degree double",
-    )
+    sel = survivors[_suppress(survivors, SECONDARY_DISTANCE_M)]
 
     # --- final location -> station mapping ------------------------------
     # Orphans take the nearest old or new station; argmin over stations
     # sorted by group_id keeps the smaller id on an exact distance tie.
     all_stations = pd.concat([stations, sel]).sort_values("group_id", ignore_index=True)
-    loc = assignment.select("location_id", "group_id").toPandas().merge(
-        locations.select("location_id", "lat", "lon").toPandas(), on="location_id"
-    )
-    orphan = ~loc["group_id"].isin(all_stations["group_id"])
-    nearest = _distances(loc[orphan], all_stations).argmin(axis=1)
-    loc.loc[orphan, "group_id"] = all_stations["group_id"].to_numpy()[nearest]
+    station_group = assignment["group_id"].copy()
+    orphan = ~station_group.isin(all_stations["group_id"])
+    nearest = _distances(assignment[orphan], all_stations).argmin(axis=1)
+    station_group[orphan] = all_stations["group_id"].to_numpy()[nearest]
     final = pd.DataFrame(
         {
-            "station_group": loc["group_id"],
-            "location_id": loc["location_id"],
-            "is_new": loc["group_id"].isin(sel["group_id"]),
+            "station_group": station_group,
+            "location_id": assignment["location_id"],
+            "is_new": station_group.isin(sel["group_id"]),
         }
     ).sort_values("location_id", ignore_index=True)
-    kinds = final[["station_group", "is_new"]].drop_duplicates()
+    kinds = final[["station_group", "is_new"]].drop_duplicates(ignore_index=True)
     return SelectionResult(
-        selected=selected,
+        selected=sel[["group_id", "lat", "lon", "degree"]].reset_index(drop=True),
         threshold=threshold,
-        final_assignment=spark.createDataFrame(
-            final, schema="station_group string, location_id long, is_new boolean"
-        ),
+        final_assignment=final,
         n_selected=len(sel),
-        station_kinds=spark.createDataFrame(kinds, schema="group_id string, is_new boolean"),
+        station_kinds=kinds.rename(columns={"station_group": "group_id"}),
     )

@@ -84,10 +84,10 @@ def table3(result: PipelineResult) -> pd.DataFrame:
     kind, To = by destination kind).
 
     One Spark action collects the trips per directed station pair (at
-    most a few thousand rows); the split is derived from it on the
-    driver."""
+    most a few thousand rows); the split is derived from it and from
+    Algorithm 1's station kinds on the driver."""
     pairs = pair_counts(result.selected_trips)
-    kinds = result.station_kinds.toPandas().set_index("group_id")["is_new"]
+    kinds = result.selection.station_kinds.set_index("group_id")["is_new"]
     src_new = pairs["src_group"].map(kinds)
     dst_new = pairs["dst_group"].map(kinds)
     rows = [

@@ -1,16 +1,18 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
 reference, plus the Spark entry point's frame. Also checks that the frames
-built on the driver (these labels, HAC's assignment and groups,
-``louvain_groups``' assignment) are local relations."""
+built on the driver (these labels, ``louvain_groups``' assignment, the
+pipeline's location -> group maps and station kinds) are local
+relations."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro import pipeline
+from repro.graph.builder import trips_with_groups
 from repro.graph.components import component_labels, connected_components
 from repro.graph.graph import Graph, graph_from_edges
-from repro.hac.cluster import build_candidates
 from repro.pipeline import louvain_groups
 
 
@@ -85,25 +87,36 @@ def test_components_rejects_edge_to_unknown_vertex(spark):
         connected_components(Graph(v, e))
 
 
-def test_driver_frames_are_local_relations(spark):
+def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     """Frames built on the driver come from pandas through Arrow as a
     ``LocalRelation``. Built from a Python list they would be a
-    ``LogicalRDD``, read through a forked Python worker."""
+    ``LogicalRDD``, read through a forked Python worker. Checked: these
+    labels, ``louvain_groups``' assignment, and the frames the pipeline
+    hands Spark: the candidate and final location -> group maps (caught
+    on their way into ``trips_with_groups``) and the station kinds."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
     sym = graph_from_edges(spark.createDataFrame(e))
     ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
-    # two locations at a station, two 3 m apart 1.1 km away
-    locs = pd.DataFrame(
-        {"location_id": [1, 2, 3, 4], "lat": [53.34, 53.34, 53.35, 53.35],
-         "lon": [-6.27, -6.27, -6.27, -6.27005]}
-    )
-    st = pd.DataFrame({"station_id": [7], "lat": [53.34], "lon": [-6.27]})
-    hac = build_candidates(spark.createDataFrame(locs), spark.createDataFrame(st))
-    frames = [
-        connected_components(graph_from_edges(ids)), louvain_groups(sym)[0], hac.assignment,
-    ]
-    for df in frames:
+    for df in (connected_components(graph_from_edges(ids)), louvain_groups(sym)[0]):
         assert df.count() == 4
-        assert df._jdf.queryExecution().logical().nodeName() == "LocalRelation"
-    assert hac.groups.count() == 2
-    assert hac.groups._jdf.queryExecution().logical().nodeName() == "LocalRelation"
+        assert _plan_leaf(df) == "LocalRelation"
+
+    maps = []
+
+    def spy(rentals, assignment):
+        maps.append(assignment)
+        return trips_with_groups(rentals, assignment)
+
+    monkeypatch.setattr(pipeline, "trips_with_groups", spy)
+    r = pipeline.run_pipeline(spark, data=moby_small, granularities=())
+    assert len(maps) == 2
+    for df in maps:
+        assert df.columns == ["location_id", "group_id"]
+        assert df.count() == r.cleaned.clean_locations
+    assert [_plan_leaf(df) for df in maps + [r.station_kinds]] == ["LocalRelation"] * 3
+
+
+def _plan_leaf(df):
+    """The node name of ``df``'s analysed plan below a broadcast hint."""
+    plan = df._jdf.queryExecution().analyzed()
+    return (plan.child() if plan.nodeName() == "ResolvedHint" else plan).nodeName()

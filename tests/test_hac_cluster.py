@@ -54,7 +54,7 @@ def scene(spark):
 def test_preassignment_and_clusters(scene):
     locations, stations = scene
     res = build_candidates(locations, stations)
-    a = {r["location_id"]: (r["group_id"], r["kind"]) for r in res.assignment.collect()}
+    a = {r.location_id: (r.group_id, r.kind) for r in res.assignment.itertuples()}
     assert a[1] == ("S7", "station")  # within 50 m of the station
     # the 3-point cloud is one candidate cluster
     assert a[2][1] == "candidate"
@@ -69,19 +69,19 @@ def test_preassignment_and_clusters(scene):
 def test_every_location_assigned_exactly_once(scene):
     locations, stations = scene
     res = build_candidates(locations, stations)
-    assert res.assignment.count() == locations.count()
-    assert res.assignment.select("location_id").distinct().count() == locations.count()
+    assert len(res.assignment) == locations.count()
+    assert res.assignment["location_id"].is_unique
 
 
 def test_groups_table_contents(scene):
     locations, stations = scene
     res = build_candidates(locations, stations)
-    groups = res.groups.collect()
-    kinds = {r["group_id"]: r["kind"] for r in groups}
+    groups = res.groups
+    kinds = dict(zip(groups["group_id"], groups["kind"]))
     assert kinds["S7"] == "station"
     assert sum(1 for k in kinds.values() if k == "candidate") == 3
     # station group keeps the station's own coordinate
-    srow = [r for r in groups if r["group_id"] == "S7"][0]
+    srow = groups[groups["group_id"] == "S7"].iloc[0]
     assert (srow["lat"], srow["lon"]) == pytest.approx((LAT0, LON0))
     assert srow["station_id"] == 7
 
@@ -106,7 +106,7 @@ def test_candidate_centroid_is_member_mean(spark, tight_cloud):
     order divided by the count, to the last bit."""
     pdf, stations = tight_cloud
     res = build_candidates(spark.createDataFrame(pdf), stations)
-    (row,) = res.groups.filter(F.col("kind") == "candidate").collect()
+    (row,) = res.groups[res.groups["kind"] == "candidate"].to_dict("records")
     members = pdf.sort_values("location_id")
     for col in ("lat", "lon"):
         total = 0.0
@@ -122,10 +122,9 @@ def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
     """Paper Rule 1 on real generated data: no two members of any
     candidate cluster are more than 100 m apart."""
     res = build_candidates(cleaned_small.locations, cleaned_small.stations)
-    pdf = (
-        res.assignment.filter(F.col("kind") == "candidate")
-        .join(cleaned_small.locations.select("location_id", "lat", "lon"), "location_id")
-        .toPandas()
+    a = res.assignment
+    pdf = a.loc[a["kind"] == "candidate", ["location_id", "group_id"]].merge(
+        cleaned_small.locations.select("location_id", "lat", "lon").toPandas(), on="location_id"
     )
     for gid, grp in pdf.groupby("group_id"):
         if len(grp) > 1:
@@ -141,10 +140,13 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
     within 50 m of a station is assigned to the nearest one (ties to the
     smaller id), and every other location is a candidate."""
     res = build_candidates(cleaned_small.locations, cleaned_small.stations)
-    got = res.assignment.toPandas().merge(
+    got = res.assignment.merge(
         cleaned_small.locations.select("location_id", "lat", "lon").toPandas(),
-        on="location_id",
+        on="location_id", suffixes=("_got", ""),
     )
+    # one row per cleaned location, carrying that location's coordinates
+    assert len(got) == len(res.assignment) == cleaned_small.clean_locations
+    assert (got.lat_got == got.lat).all() and (got.lon_got == got.lon).all()
     st = cleaned_small.stations.toPandas().sort_values("station_id", ignore_index=True)
     d = haversine_np(
         got.lat.to_numpy()[:, None], got.lon.to_numpy()[:, None],
@@ -169,11 +171,16 @@ def test_every_location_near_a_station(scene):
     only the stations."""
     locations, stations = scene
     res = build_candidates(locations.filter(F.col("location_id") == 1), stations)
-    assert res.assignment.schema.simpleString() == (
-        "struct<location_id:bigint,group_id:string,kind:string>"
-    )
-    assert [tuple(r) for r in res.assignment.collect()] == [(1, "S7", "station")]
-    assert [tuple(r) for r in res.groups.collect()] == [("S7", "station", LAT0, LON0, 7)]
+    assert res.assignment.dtypes.astype(str).to_dict() == {
+        "location_id": "int64", "group_id": "object", "kind": "object",
+        "lat": "float64", "lon": "float64",
+    }
+    assert list(res.assignment.itertuples(index=False, name=None)) == [
+        (1, "S7", "station", *_pt(30, 0))
+    ]
+    assert list(res.groups.itertuples(index=False, name=None)) == [
+        ("S7", "station", LAT0, LON0, 7)
+    ]
 
 
 # HAC's pre-assignment as SQL: the nearest station within 50 m, exact
@@ -228,10 +235,11 @@ def test_preassign_matches_sql_oracle(spark, preassign_scene):
     assert (assigned & np.isin(st.station_id.to_numpy()[nearest], [12, 5])).sum() > 10
 
     res = build_candidates(spark.createDataFrame(pts), spark.createDataFrame(st))
-    got = res.assignment.select(
-        "location_id",
-        F.when(F.col("kind") == "station", F.col("group_id")).otherwise("free").alias("group_id"),
-    )
+    a = res.assignment
+    got = pd.DataFrame({
+        "location_id": a["location_id"],
+        "group_id": a["group_id"].where(a["kind"] == "station", "free"),
+    })
     assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
 
 
@@ -264,7 +272,8 @@ def _stations(spark):
 
 def _candidates(spark, pdf):
     res = build_candidates(spark.createDataFrame(pdf), _stations(spark))
-    return sorted(tuple(r) for r in res.assignment.collect())
+    rows = res.assignment[["location_id", "group_id", "kind"]]
+    return sorted(rows.itertuples(index=False, name=None))
 
 
 def _oracle(pdf):

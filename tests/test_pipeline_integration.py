@@ -7,10 +7,11 @@ hold at any scale.
 """
 from __future__ import annotations
 
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.builder import GRANULARITIES, temporal_graph
+from repro.graph.builder import GRANULARITIES, temporal_graph, trips_with_groups
 from repro.louvain.reference import modularity_ref
 
 
@@ -18,7 +19,6 @@ def test_trips_conserved_through_every_stage(pipeline_small):
     r = pipeline_small
     n = r.cleaned.clean_rentals
     assert r.candidate_stats.n_trips == n
-    assert r.candidate_trips.count() == n
     assert r.selected_trips.count() == n
 
 
@@ -37,25 +37,25 @@ def test_candidate_stats_internal_consistency(pipeline_small):
 
 def test_candidate_groups_cover_all_locations(pipeline_small):
     r = pipeline_small
-    assert r.candidates.assignment.count() == r.cleaned.clean_locations
+    assert len(r.candidates.assignment) == r.cleaned.clean_locations
     # every assigned group exists in the groups table
-    missing = r.candidates.assignment.join(
-        r.candidates.groups.select("group_id"), "group_id", "left_anti"
-    )
-    assert missing.count() == 0
+    assert r.candidates.assignment["group_id"].isin(r.candidates.groups["group_id"]).all()
 
 
 def test_station_groups_are_92(pipeline_small):
-    st = pipeline_small.candidates.groups.filter(F.col("kind") == "station")
-    assert st.count() == 92
+    groups = pipeline_small.candidates.groups
+    assert (groups["kind"] == "station").sum() == 92
 
 
 def test_selection_threshold_is_min_station_degree(pipeline_small):
     """The threshold is the smallest fixed-station degree, counted here in
-    Spark over the candidate trips' endpoints (selection reads the pair
-    table instead)."""
+    Spark over the endpoints of the candidate trips, built from the HAC
+    assignment (selection reads the pair table instead)."""
     r = pipeline_small
-    trips = r.candidate_trips
+    spark = r.cleaned.rentals.sparkSession
+    assignment = r.candidates.assignment[["location_id", "group_id"]]
+    trips = trips_with_groups(r.cleaned.rentals, spark.createDataFrame(assignment))
+    stations = r.candidates.groups.loc[r.candidates.groups["kind"] == "station", ["group_id"]]
     deg = (
         trips.select(F.col("src_group").alias("group_id"))
         .unionByName(trips.select(F.col("dst_group").alias("group_id")))
@@ -63,7 +63,7 @@ def test_selection_threshold_is_min_station_degree(pipeline_small):
         .agg(F.count(F.lit(1)).cast("double").alias("degree"))
     )
     st_deg = (
-        r.candidates.groups.filter(F.col("kind") == "station")
+        spark.createDataFrame(stations)
         .join(deg, "group_id", "left")
         .fillna({"degree": 0.0})
         .agg(F.min("degree"))
@@ -78,7 +78,7 @@ def test_selected_are_far_from_stations_and_each_other(pipeline_small):
     from repro.geo import haversine_np
 
     r = pipeline_small
-    sel = r.selection.selected.toPandas()
+    sel = r.selection.selected
     st = r.cleaned.stations.toPandas()
     if len(sel) == 0:
         pytest.skip("no stations selected at this scale")
@@ -98,13 +98,15 @@ def test_selected_are_far_from_stations_and_each_other(pipeline_small):
 def test_final_assignment_covers_all_locations_once(pipeline_small):
     r = pipeline_small
     fa = r.selection.final_assignment
-    assert fa.count() == r.cleaned.clean_locations
-    assert fa.select("location_id").distinct().count() == r.cleaned.clean_locations
+    assert len(fa) == r.cleaned.clean_locations
+    assert fa["location_id"].is_unique
 
 
 def test_final_stations_are_old_plus_selected(pipeline_small):
     r = pipeline_small
     kinds = r.station_kinds.toPandas()
+    # the Spark frame the community tables join is Algorithm 1's table
+    pd.testing.assert_frame_equal(kinds, r.selection.station_kinds)
     assert (~kinds.is_new).sum() <= 92  # a station with no trips never appears
     assert kinds.is_new.sum() <= r.selection.n_selected
     assert kinds.group_id.is_unique

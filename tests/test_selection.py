@@ -1,12 +1,11 @@
 """Algorithm 1 (station ranking & selection): degree threshold, 250 m
-rules, greedy suppression and trip-conserving reassignment."""
+rules, greedy suppression and trip-conserving reassignment, on pandas
+inputs and outputs, without a Spark job."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
-
 from repro.geo import haversine_np
 from repro.graph.builder import pair_counts
 from repro.oracle import assert_equivalent
@@ -24,10 +23,9 @@ def _pt(dx_m, dy_m):
     )
 
 
-def _groups_df(spark, rows):
+def _groups(rows):
     pdf = pd.DataFrame(rows, columns=["group_id", "kind", "lat", "lon", "station_id"])
-    pdf["station_id"] = pdf["station_id"].astype("float64")
-    return spark.createDataFrame(pdf)
+    return pdf.astype({"station_id": "Int64"})
 
 
 def _trips_df(spark, pairs):
@@ -137,8 +135,7 @@ def scenario(spark):
     s1, s2 = _pt(0, 0), _pt(2000, 0)
     c_low, c_near = _pt(0, 800), _pt(200, 0)
     c_a, c_b = _pt(1000, 1000), _pt(1200, 1000)
-    groups = _groups_df(
-        spark,
+    groups = _groups(
         [
             ("S1", "station", *s1, 1), ("S2", "station", *s2, 2),
             ("Clow", "candidate", *c_low, None), ("Cnear", "candidate", *c_near, None),
@@ -154,39 +151,28 @@ def scenario(spark):
         + [("Cb", "Ca")] * 2 + [("Ca", "Cb")] * 2,
     )
     # locations: one per group at the group coordinate
-    locs = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "location_id": [1, 2, 3, 4, 5, 6],
-                "lat": [s1[0], s2[0], c_low[0], c_near[0], c_a[0], c_b[0]],
-                "lon": [s1[1], s2[1], c_low[1], c_near[1], c_a[1], c_b[1]],
-            }
-        )
+    assignment = pd.DataFrame(
+        {
+            "location_id": [1, 2, 3, 4, 5, 6],
+            "group_id": ["S1", "S2", "Clow", "Cnear", "Ca", "Cb"],
+            "kind": ["station", "station"] + ["candidate"] * 4,
+            "lat": [s1[0], s2[0], c_low[0], c_near[0], c_a[0], c_b[0]],
+            "lon": [s1[1], s2[1], c_low[1], c_near[1], c_a[1], c_b[1]],
+        }
     )
-    assignment = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "location_id": [1, 2, 3, 4, 5, 6],
-                "group_id": ["S1", "S2", "Clow", "Cnear", "Ca", "Cb"],
-                "kind": ["station", "station"] + ["candidate"] * 4,
-            }
-        )
-    )
-    return groups, pairs, locs, assignment
+    return groups, pairs, assignment
 
 
 def test_select_stations_applies_all_rules(scenario):
-    groups, pairs, locs, assignment = scenario
-    res = select_stations(groups, pairs, locs, assignment)
+    res = select_stations(*scenario)
     assert res.threshold == 4.0
-    selected = {r["group_id"] for r in res.selected.collect()}
+    selected = set(res.selected["group_id"])
     assert selected == {"Ca"}
 
 
 def test_select_stations_reassigns_orphans_to_nearest(scenario):
-    groups, pairs, locs, assignment = scenario
-    res = select_stations(groups, pairs, locs, assignment)
-    fa = {r["location_id"]: (r["station_group"], r["is_new"]) for r in res.final_assignment.collect()}
+    res = select_stations(*scenario)
+    fa = _final(res)
     assert fa[1] == ("S1", False) and fa[2] == ("S2", False)
     assert fa[5] == ("Ca", True)
     assert fa[3] == ("S1", False)  # Clow 800m from S1, nearer than S2/Ca
@@ -196,19 +182,21 @@ def test_select_stations_reassigns_orphans_to_nearest(scenario):
     assert len(fa) == 6
 
 
+def _final(res):
+    """``final_assignment`` as location_id -> (station_group, is_new)."""
+    fa = res.final_assignment
+    return dict(zip(fa["location_id"], zip(fa["station_group"], fa["is_new"])))
+
+
 def _scene_frames(spark, groups, trips, locs):
-    """Inputs of ``select_stations`` from pandas: ``groups`` rows
-    (group_id, kind, lat, lon, station_id), ``trips`` (src, dst) group
-    pairs (counted through Spark into the pair table), ``locs``
-    (location_id, group_id, lat, lon)."""
+    """Inputs of ``select_stations``: ``groups`` rows (group_id, kind,
+    lat, lon, station_id), ``trips`` (src, dst) group pairs (counted
+    through Spark into the pair table), ``locs`` (location_id, group_id,
+    lat, lon) rows of the assignment."""
     locs = pd.DataFrame(locs, columns=["location_id", "group_id", "lat", "lon"])
     kind = np.where(locs["group_id"].str.startswith("S"), "station", "candidate")
-    return (
-        _groups_df(spark, groups),
-        _pairs(spark, trips),
-        spark.createDataFrame(locs[["location_id", "lat", "lon"]]),
-        spark.createDataFrame(locs[["location_id", "group_id"]].assign(kind=kind)),
-    )
+    assignment = locs.assign(kind=kind)[["location_id", "group_id", "kind", "lat", "lon"]]
+    return _groups(groups), _pairs(spark, trips), assignment
 
 
 def test_select_stations_requires_a_fixed_station(spark):
@@ -232,7 +220,7 @@ def test_orphan_equidistant_stations_go_to_smaller_group_id(spark):
     )
     res = select_stations(*inputs)
     assert res.n_selected == 0
-    fa = {r["location_id"]: r["station_group"] for r in res.final_assignment.collect()}
+    fa = dict(zip(res.final_assignment["location_id"], res.final_assignment["station_group"]))
     assert fa == {1: "S7", 2: "S3", 3: "S3"}
 
 
@@ -253,11 +241,11 @@ def test_no_candidate_passes_threshold(spark):
     res = select_stations(*inputs)
     assert res.threshold == 4.0
     assert res.n_selected == 0
-    assert res.selected.count() == 0
-    assert res.selected.schema.simpleString() == (
-        "struct<group_id:string,lat:double,lon:double,degree:double>"
-    )
-    fa = {r["location_id"]: (r["station_group"], r["is_new"]) for r in res.final_assignment.collect()}
+    assert len(res.selected) == 0
+    assert res.selected.dtypes.astype(str).to_dict() == {
+        "group_id": "object", "lat": "float64", "lon": "float64", "degree": "float64",
+    }
+    fa = _final(res)
     assert fa == {
         1: ("S1", False), 2: ("S2", False), 3: ("S1", False), 4: ("S2", False), 5: ("S1", False),
     }
@@ -291,15 +279,15 @@ def _selection_rows(spark, groups, trips, locs):
     res = select_stations(*_scene_frames(spark, groups, trips, locs))
     return (
         res.threshold,
-        sorted(tuple(r) for r in res.selected.collect()),
-        sorted(tuple(r) for r in res.final_assignment.collect()),
+        sorted(res.selected.itertuples(index=False, name=None)),
+        sorted(res.final_assignment.itertuples(index=False, name=None)),
     )
 
 
 def test_selection_independent_of_row_order_and_partitions(spark, city):
-    """Row order and shuffle partitioning reach the driver as the order of
-    the collected pair table, groups and locations; no output may follow
-    it."""
+    """Row order reaches selection as the order of the groups and the
+    assignment, and shuffle partitioning as the order of the collected
+    pair table; no output may follow either."""
     want = _selection_rows(spark, *city)
     assert want[0] == 7.0 and 0 < len(want[1]) < 31
     rng = np.random.default_rng(1)
@@ -312,3 +300,23 @@ def test_selection_independent_of_row_order_and_partitions(spark, city):
             assert _selection_rows(spark, *shuffled) == want
     finally:
         spark.conf.set(key, old)
+
+
+def test_select_stations_starts_no_spark_job(spark, city):
+    """Algorithm 1 runs on the driver: its inputs are pandas and its
+    outputs stay pandas, so no Spark job runs in its job group."""
+    inputs = _scene_frames(spark, *city)
+    sc = spark.sparkContext
+    try:
+        sc.setJobGroup("test-select-stations", "select_stations")
+        res = select_stations(*inputs)
+        sc.setJobGroup("test-select-stations-probe", "one Spark job")
+        spark.range(3).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    assert tracker.getJobIdsForGroup("test-select-stations-probe")  # the tracker sees jobs
+    assert list(tracker.getJobIdsForGroup("test-select-stations")) == []
+    assert res.n_selected > 0
