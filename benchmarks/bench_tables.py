@@ -5,6 +5,7 @@ to the paper's values."""
 from __future__ import annotations
 
 import pytest
+from pyspark.sql import functions as F
 
 from repro import tables
 from repro.graph.builder import graph_stats, pair_counts, trips_with_groups
@@ -27,11 +28,16 @@ def _table1(r):
 
 def _table2(r):
     """HAC candidate construction (eps-graph, connected components, exact
-    complete linkage) + candidate-graph statistics."""
+    complete linkage) + candidate-graph statistics, with the candidate map
+    built as ``run_pipeline`` builds it (explicit schema, broadcast)."""
     cand = build_candidates(r.cleaned.locations, r.cleaned.stations)
     spark = r.cleaned.rentals.sparkSession
-    group_map = spark.createDataFrame(cand.assignment[["location_id", "group_id"]])
-    stats = graph_stats(pair_counts(trips_with_groups(r.cleaned.rentals, group_map)))
+    group_map = spark.createDataFrame(
+        cand.assignment[["location_id", "group_id"]], schema="location_id long, group_id string"
+    )
+    stats = graph_stats(
+        pair_counts(trips_with_groups(r.cleaned.rentals, F.broadcast(group_map)))
+    )
     assert stats.n_trips == r.cleaned.clean_rentals
     assert stats.directed_edges >= stats.undirected_edges
     return (

@@ -7,8 +7,8 @@
   candidate graph at SF=1) that Table II, Algorithm 1's degrees and Table
   III read.
 - :func:`graph_stats` computes the Table II measures from that table.
-- :func:`temporal_graph` aggregates trips into a weighted station graph at
-  one of the paper's three granularities:
+- :func:`temporal_graph` aggregates trips into a weighted station graph,
+  in symmetric form, at one of the paper's three granularities:
 
   * ``"basic"`` — weight = number of trips (G_Basic);
   * ``"day"``   — weight = sum of day-of-week codes 1..7 (G_Day);
@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from repro.graph.graph import Graph, graph_from_edges
 
 GRANULARITIES = ("basic", "day", "hour")
 
@@ -108,9 +106,24 @@ def graph_stats(pairs: pd.DataFrame) -> GraphStats:
     )
 
 
-def temporal_graph(trips: DataFrame, granularity: str) -> Graph:
-    """The symmetric weighted station graph at one temporal granularity
-    (see module docstring). Node ids are group ids (strings)."""
+@dataclass(frozen=True)
+class StationGraph:
+    """``edges``: the symmetric ``(src, dst, weight)`` rows. A record, not a
+    bare frame, because ``perfbench/run.py`` reads ``.edges``."""
+
+    edges: DataFrame
+
+
+def temporal_graph(trips: DataFrame, granularity: str) -> StationGraph:
+    """The weighted station graph at one temporal granularity (see module
+    docstring), keyed by group id, in symmetric form.
+
+    The paper's graphs are bidirectional, so each trip adds its code to its
+    *unordered* group pair: one aggregate gives the ``src <= dst`` rows and
+    its non-loop rows reversed give the other direction, so each self-loop
+    appears once. Hence ``m = (sum of non-loop w)/2 + (sum of loop w)`` and
+    a loop counts 2w towards its vertex's degree ``k_i`` (the networkx and
+    Louvain convention)."""
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}")
     if granularity == "basic":
@@ -119,9 +132,6 @@ def temporal_graph(trips: DataFrame, granularity: str) -> Graph:
         w = F.col("day_of_week").cast("double")
     else:
         w = (F.col("hour") + F.lit(1)).cast("double")
-    # Each trip contributes its temporal code to the *undirected* pair —
-    # the paper's graphs are bidirectional, so aggregate per unordered pair
-    # then symmetrize.
     und = (
         trips.select(
             F.least("src_group", "dst_group").alias("src"),
@@ -131,4 +141,7 @@ def temporal_graph(trips: DataFrame, granularity: str) -> Graph:
         .groupBy("src", "dst")
         .agg(F.sum("weight").alias("weight"))
     )
-    return graph_from_edges(und).symmetrize()
+    reverse = und.filter(F.col("src") != F.col("dst")).select(
+        F.col("dst").alias("src"), F.col("src").alias("dst"), "weight"
+    )
+    return StationGraph(und.unionByName(reverse))

@@ -8,7 +8,8 @@ labels them in numpy with :func:`component_labels` and hands the labels
 back as a local frame built from pandas through Arrow (a ``LocalRelation``,
 so no Python worker process is needed to read it).
 
-Edges are taken as undirected, so the input may be directed.
+Edges are taken as undirected, so the input may be directed, e.g. the
+symmetric form of :func:`repro.graph.builder.temporal_graph`.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import StructField, StructType
-
-from repro.graph.graph import DST, SRC, Graph
 
 
 def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -44,19 +43,19 @@ def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = new
 
 
-def connected_components(g: Graph) -> DataFrame:
-    """Return ``(id, component)`` for every vertex of ``g``, isolated ones
-    included, where ``component`` is the minimum vertex id in the
-    component. Every edge endpoint must be a vertex."""
-    ids = np.unique(g.vertices.select("id").toPandas()["id"].to_numpy())
-    ends = g.edges.select(SRC, DST).toPandas().to_numpy()
+def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:
+    """Return ``(id, component)`` for every ``id`` of ``vertices``, isolated
+    ones included, where ``component`` is the minimum vertex id in the
+    component. Every ``src``/``dst`` endpoint of ``edges`` must be a vertex."""
+    ids = np.unique(vertices.select("id").toPandas()["id"].to_numpy())
+    ends = edges.select("src", "dst").toPandas().to_numpy()
     if not np.isin(ends, ids).all():
         raise ValueError("every edge endpoint must be a vertex id")
     src, dst = np.searchsorted(ids, ends).T
     # ids are sorted, so the smallest index of a component is its min id
     component = ids[component_labels(len(ids), src, dst)]
-    field = g.vertices.schema["id"]
+    field = vertices.schema["id"]
     schema = StructType([field, StructField("component", field.dataType, field.nullable)])
-    return g.vertices.sparkSession.createDataFrame(
+    return vertices.sparkSession.createDataFrame(
         pd.DataFrame({"id": ids, "component": component}), schema
     )

@@ -50,7 +50,6 @@ from pyspark.sql import functions as F
 
 from repro.geo import haversine_col, with_grid_cell
 from repro.graph.components import connected_components
-from repro.graph.graph import Graph
 from repro.hac.linkage import complete_linkage_labels
 from repro.hac.proximity import eps_edges, neighbour_cells
 
@@ -118,11 +117,9 @@ def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResu
     # numbering depend on the ids alone.
     free_pdf = pre.loc[~assigned, ["location_id", "lat", "lon"]]
     free = spark.createDataFrame(free_pdf, schema="location_id long, lat double, lon double")
-    edges = eps_edges(free, eps_m=MAX_DIAMETER_M).select(
-        F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
-    )
-    verts = free.select(F.col("location_id").alias("id"))
-    comp = connected_components(Graph(verts, edges)).toPandas()
+    comp = connected_components(
+        free.select(F.col("location_id").alias("id")), eps_edges(free, eps_m=MAX_DIAMETER_M)
+    ).toPandas()
     pdf = free_pdf.merge(
         comp.rename(columns={"id": "location_id"}), on="location_id"
     ).sort_values(["component", "location_id"], ignore_index=True)

@@ -30,7 +30,7 @@ every level runs over integer arrays with ``np.unique``/``bincount``/
   ``TOL`` (at most ``MAX_LEVELS`` levels).
 
 Vertices are ``0..n-1``. Edges are in symmetric form
-(:meth:`repro.graph.graph.Graph.symmetrize`): each undirected non-loop edge
+(:func:`repro.graph.builder.temporal_graph`): each undirected non-loop edge
 in both directions, self-loops once.
 """
 from __future__ import annotations

@@ -4,7 +4,8 @@ Operates on plain dict-of-dict adjacency for graphs small enough to hold on
 the driver (every station graph in the paper is; the reference is also the
 test oracle for the Spark implementation on tiny random graphs).
 
-Conventions match :mod:`repro.graph.graph`: the input edge list is
+Conventions match :func:`repro.graph.builder.temporal_graph`: the input
+edge list is
 *undirected* — pass each non-loop edge once (either direction, duplicates
 are summed) — and a self-loop of weight w contributes 2w to its endpoint's
 degree and w to total edge weight m.

@@ -29,7 +29,6 @@ from repro.graph.builder import (
     temporal_graph,
     trips_with_groups,
 )
-from repro.graph.graph import DST, SRC, WEIGHT, Graph
 from repro.hac.cluster import CandidateResult, build_candidates
 from repro.louvain.louvain import LouvainResult, louvain
 from repro.moby.cleaning import CleanResult, clean
@@ -62,18 +61,18 @@ class PipelineResult:
     communities: dict = field(default_factory=dict)  # granularity -> CommunityRun
 
 
-def louvain_groups(g: Graph) -> tuple[DataFrame, LouvainResult]:
-    """Run Louvain on a station graph whose vertex ids are strings (group
-    ids): collect its symmetric edges, index the ids in sorted order and
-    detect on the driver. The vertex set is the edges' endpoints, which is
-    every vertex of a :func:`temporal_graph`. Returns the
-    ``(group_id, community)`` frame, built from pandas through Arrow, and
-    the result over the indices."""
-    e = g.edges.select(SRC, DST, WEIGHT).toPandas()
-    ids, index = np.unique(np.concatenate([e[SRC], e[DST]]), return_inverse=True)
+def louvain_groups(edges: DataFrame) -> tuple[DataFrame, LouvainResult]:
+    """Run Louvain on the symmetric ``(src, dst, weight)`` edges of a
+    :func:`temporal_graph`, whose vertex ids are strings (group ids) and
+    are all edge endpoints: collect the edges, index the ids in sorted
+    order and detect on the driver. Returns the ``(group_id, community)``
+    frame, built from pandas through Arrow, and the result over the
+    indices."""
+    e = edges.select("src", "dst", "weight").toPandas()
+    ids, index = np.unique(np.concatenate([e["src"], e["dst"]]), return_inverse=True)
     src, dst = np.split(index, 2)
-    res = louvain(src, dst, e[WEIGHT].to_numpy(), len(ids))
-    assignment = g.edges.sparkSession.createDataFrame(
+    res = louvain(src, dst, e["weight"].to_numpy(), len(ids))
+    assignment = edges.sparkSession.createDataFrame(
         pd.DataFrame({"group_id": ids, "community": res.community}),
         schema="group_id string, community long",
     )
@@ -133,7 +132,7 @@ def run_communities(result: PipelineResult, granularity: str) -> CommunityRun:
     """Louvain + community table for one temporal granularity of the
     selected graph."""
     g = temporal_graph(result.selected_trips, granularity)
-    assignment, res = louvain_groups(g)
+    assignment, res = louvain_groups(g.edges)
     assignment = assignment.cache()
     table = community_table(
         assignment, result.station_kinds, result.selected_trips

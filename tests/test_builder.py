@@ -7,7 +7,6 @@ import datetime as dt
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graph.builder import (
     GRANULARITIES,
@@ -98,35 +97,96 @@ def test_temporal_graph_rejects_unknown_granularity(rentals, assignment):
         temporal_graph(trips_with_groups(rentals, assignment), "weekly")
 
 
+def _edge_rows(g):
+    return sorted((r["src"], r["dst"], r["weight"]) for r in g.edges.collect())
+
+
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 def test_temporal_graph_is_symmetric(rentals, assignment, granularity):
-    g = temporal_graph(trips_with_groups(rentals, assignment), granularity)
-    e = {(r["src"], r["dst"]): r["weight"] for r in g.edges.collect()}
+    """Each non-loop pair in both directions with one weight, each loop
+    once, and no ``(src, dst)`` pair twice."""
+    rows = _edge_rows(temporal_graph(trips_with_groups(rentals, assignment), granularity))
+    pairs = [(a, b) for a, b, _ in rows]
+    assert len(set(pairs)) == len(pairs)
+    e = {(a, b): w for a, b, w in rows}
     for (a, b), w in e.items():
-        if a != b:
-            assert e[(b, a)] == w
+        assert e[(b, a)] == w
+    assert pairs.count(("A", "A")) == 1
 
 
 def test_temporal_graph_weights_hand_computed(rentals, assignment):
     trips = trips_with_groups(rentals, assignment)
     # basic: undirected pair A-B has 2 trips; loop A has 2 trips
-    e = {(r["src"], r["dst"]): r["weight"] for r in temporal_graph(trips, "basic").edges.collect()}
-    assert e[("A", "B")] == 2.0 and e[("A", "A")] == 2.0
+    assert _edge_rows(temporal_graph(trips, "basic")) == [
+        ("A", "A", 2.0), ("A", "B", 2.0), ("B", "A", 2.0),
+    ]
     # day codes: trip1 Mon=1, trip2 Tue=2 -> A-B weight 3; loops Sat=6 + Sun=7 = 13
-    e = {(r["src"], r["dst"]): r["weight"] for r in temporal_graph(trips, "day").edges.collect()}
-    assert e[("A", "B")] == 3.0 and e[("A", "A")] == 13.0
+    assert _edge_rows(temporal_graph(trips, "day")) == [
+        ("A", "A", 13.0), ("A", "B", 3.0), ("B", "A", 3.0),
+    ]
     # hour codes: (8+1)+(17+1)=27 for A-B; (13+1)+(21+1)=36 for loop A
-    e = {(r["src"], r["dst"]): r["weight"] for r in temporal_graph(trips, "hour").edges.collect()}
-    assert e[("A", "B")] == 27.0 and e[("A", "A")] == 36.0
+    assert _edge_rows(temporal_graph(trips, "hour")) == [
+        ("A", "A", 36.0), ("A", "B", 27.0), ("B", "A", 27.0),
+    ]
 
 
-def test_temporal_graph_weight_oracle(spark, rentals, assignment):
+@pytest.fixture()
+def uneven_trips(spark):
+    """A->B twice, B->A once, B->C once, C->C four times; every trip on
+    Monday at 00h, so all three granularities weigh a trip 1."""
+    rows = [("A", "B")] * 2 + [("B", "A"), ("B", "C")] + [("C", "C")] * 4
+    return spark.createDataFrame(
+        [(a, b, 1, 0) for a, b in rows],
+        "src_group string, dst_group string, day_of_week int, hour int",
+    )
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_temporal_graph_two_way_sum(uneven_trips, granularity):
+    """Trips A->B and B->A give each direction the two-way sum."""
+    assert _edge_rows(temporal_graph(uneven_trips, granularity)) == [
+        ("A", "B", 3.0), ("B", "A", 3.0), ("B", "C", 1.0), ("C", "B", 1.0), ("C", "C", 4.0),
+    ]
+
+
+def test_temporal_graph_total_mass(uneven_trips):
+    """m = (sum of non-loop w)/2 + (sum of loop w) is the trip count: a
+    loop row is not doubled."""
+    rows = _edge_rows(temporal_graph(uneven_trips, "basic"))
+    nonloop = sum(w for a, b, w in rows if a != b)
+    loops = sum(w for a, b, w in rows if a == b)
+    assert nonloop / 2 + loops == uneven_trips.count()
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_temporal_graph_weight_oracle(rentals, assignment, granularity):
+    """The full symmetric row set: both directions, loops once."""
+    code = {"basic": "1", "day": "day_of_week", "hour": "hour + 1"}[granularity]
     trips = trips_with_groups(rentals, assignment)
-    g = temporal_graph(trips, "day")
-    got = g.edges.filter(F.col("src") <= F.col("dst")).select("src", "dst", "weight")
-    sql = """
-    SELECT LEAST(src_group, dst_group) AS src, GREATEST(src_group, dst_group) AS dst,
-           CAST(SUM(day_of_week) AS DOUBLE) AS weight
-    FROM trips GROUP BY 1, 2
+    got = temporal_graph(trips, granularity).edges.select("src", "dst", "weight")
+    sql = f"""
+    WITH und AS (
+        SELECT LEAST(src_group, dst_group) AS src, GREATEST(src_group, dst_group) AS dst,
+               CAST(SUM({code}) AS DOUBLE) AS weight
+        FROM trips GROUP BY 1, 2
+    )
+    SELECT src, dst, weight FROM und
+    UNION ALL SELECT dst AS src, src AS dst, weight FROM und WHERE src <> dst
     """
     assert_equivalent(got, sql, trips=trips.toPandas())
+
+
+def _count_nodes(plan, name):
+    children = plan.children()
+    return (plan.nodeName() == name) + sum(
+        _count_nodes(children.apply(i), name) for i in range(children.size())
+    )
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_temporal_graph_plan_has_one_pair_aggregate(rentals, assignment, granularity):
+    """The edges come from one per-pair aggregate, read by both branches
+    of the union: at most two ``Aggregate`` nodes in the optimized plan."""
+    edges = temporal_graph(trips_with_groups(rentals, assignment), granularity).edges
+    plan = edges._jdf.queryExecution().optimizedPlan()
+    assert _count_nodes(plan, "Aggregate") <= 2

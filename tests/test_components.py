@@ -12,7 +12,6 @@ import pytest
 from repro import pipeline
 from repro.graph.builder import trips_with_groups
 from repro.graph.components import component_labels, connected_components
-from repro.graph.graph import Graph, graph_from_edges
 from repro.pipeline import louvain_groups
 
 
@@ -65,7 +64,7 @@ def test_components_long_reverse_chain(spark):
     e = spark.createDataFrame(
         [(i + 1, i, 1.0) for i in range(n - 1)], "src long, dst long, weight double"
     )
-    got = {r["id"]: r["component"] for r in connected_components(graph_from_edges(e)).collect()}
+    got = {r["id"]: r["component"] for r in connected_components(spark.range(n), e).collect()}
     assert got == {i: 0 for i in range(n)}
 
 
@@ -74,7 +73,7 @@ def test_components_singletons(spark):
     self-loops included."""
     v = spark.createDataFrame([(i,) for i in range(5)], "id long")
     e = spark.createDataFrame([(0, 0, 1.0), (4, 2, 1.0)], "src long, dst long, weight double")
-    comp = connected_components(Graph(v, e))
+    comp = connected_components(v, e)
     assert comp.columns == ["id", "component"]
     got = {r["id"]: r["component"] for r in comp.collect()}
     assert got == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}
@@ -84,7 +83,7 @@ def test_components_rejects_edge_to_unknown_vertex(spark):
     v = spark.createDataFrame([(i,) for i in range(3)], "id long")
     e = spark.createDataFrame([(0, 7, 1.0)], "src long, dst long, weight double")
     with pytest.raises(ValueError, match="vertex id"):
-        connected_components(Graph(v, e))
+        connected_components(v, e)
 
 
 def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
@@ -95,9 +94,9 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     hands Spark: the candidate and final location -> group maps (caught
     on their way into ``trips_with_groups``) and the station kinds."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
-    sym = graph_from_edges(spark.createDataFrame(e))
     ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
-    for df in (connected_components(graph_from_edges(ids)), louvain_groups(sym)[0]):
+    labels = connected_components(spark.range(1, 5), ids)
+    for df in (labels, louvain_groups(spark.createDataFrame(e))[0]):
         assert df.count() == 4
         assert _plan_leaf(df) == "LocalRelation"
 
