@@ -52,55 +52,60 @@ _M_PER_DEG_LAT = 111_194.9
 _WEEK0 = np.datetime64("2020-01-06")  # first Monday in the data window
 _N_WEEKS = 88  # last generated day = 2021-09-12, inside the paper window
 
+# endpoint mass split station vs hotspot
+STATION_SHARE = 0.70
+# destination relation mix: self / same-leaf / same-day-group / same-zone / any
+P_SELF = 0.035
+P_LEAF = 0.33
+P_DAYGROUP = 0.13
+P_ZONE = 0.22
+_RELATION_MIX = (P_SELF, P_LEAF, P_DAYGROUP, P_ZONE, 1.0 - (P_SELF + P_LEAF + P_DAYGROUP + P_ZONE))
+assert _RELATION_MIX[-1] >= 0.0, "relation probabilities exceed 1"
+# per-zone override of the relation mix (self, leaf, daygroup, zone, any).
+# Suburb pockets (Phoenix Park, Dun Laoghaire) are geographically
+# isolated and ride mostly locally — without this, the uniform mix gives
+# small groups disproportionally heavy boundaries and Louvain's
+# resolution limit absorbs them into their zone's commuter community.
+ZONE_MIX = {"suburb": (0.04, 0.58, 0.02, 0.12, 0.24)}
+assert all(abs(sum(mix) - 1.0) < 1e-9 for mix in ZONE_MIX.values())
+# zipf exponents for node popularity
+STATION_ALPHA = 0.40
+HOTSPOT_ALPHA = 0.75
+# destination-choice sharpening: dst sampled with prob ~ mass^gamma
+# within the chosen relation subset. gamma > 1 concentrates trips onto
+# fewer distinct (src, dst) pairs — calibrated against Table II's
+# trips-per-edge ratio (61,872 trips over 16,042 directed edges).
+DST_SHARPEN = 4.75
+# fraction of trips that are *return journeys*: the reverse of another
+# sampled trip's (src, dst), with temporal features redrawn under the
+# same rules. Produces the near-perfect edge bidirectionality of the
+# paper's graph (15,604 directed non-loop edges over 7,820 unordered
+# pairs — ratio 2.0).
+P_RETURN = 0.40
+# geometry
+HOTSPOT_MIN_SEP_M = 180.0
+HOTSPOT_STATION_MIN_SEP_M = 300.0
+STATION_MIN_SEP_M = 260.0
+STATION_LOC_RADIUS_M = 45.0
+HOTSPOT_LOC_RADIUS_M = 32.0
+# bike ids are drawn uniformly from 1..N_BIKES
+N_BIKES = 95
+
 
 @dataclass(frozen=True)
 class MobyConfig:
-    """All generator knobs. ``paper_config`` builds the calibrated preset."""
+    """The generator's scale, seed and dirt counts. ``paper_config`` builds
+    the calibrated preset; the calibrated shape is the module constants."""
 
     seed: int = 10
     n_rentals: int = 61_872  # clean rentals
     n_locations: int = 14_156  # clean, referenced locations
     n_hotspots: int = 1_080
     station_scale: float = 1.0  # multiplies per-leaf station counts (92 total at 1.0)
-    # endpoint mass split station vs hotspot
-    station_share: float = 0.70
-    # destination relation mix: self / same-leaf / same-day-group / same-zone / any
-    p_self: float = 0.035
-    p_leaf: float = 0.33
-    p_daygroup: float = 0.13
-    p_zone: float = 0.22
-    # per-zone override of the relation mix (self, leaf, daygroup, zone, any).
-    # Suburb pockets (Phoenix Park, Dun Laoghaire) are geographically
-    # isolated and ride mostly locally — without this, the uniform mix gives
-    # small groups disproportionally heavy boundaries and Louvain's
-    # resolution limit absorbs them into their zone's commuter community.
-    zone_mix: tuple = (
-        ("suburb", (0.04, 0.58, 0.02, 0.12, 0.24)),
-    )
-    # zipf exponents for node popularity
-    station_alpha: float = 0.40
-    hotspot_alpha: float = 0.75
-    # destination-choice sharpening: dst sampled with prob ~ mass^gamma
-    # within the chosen relation subset. gamma > 1 concentrates trips onto
-    # fewer distinct (src, dst) pairs — calibrated against Table II's
-    # trips-per-edge ratio (61,872 trips over 16,042 directed edges).
-    dst_sharpen: float = 4.75
-    # fraction of trips that are *return journeys*: the reverse of another
-    # sampled trip's (src, dst), with temporal features redrawn under the
-    # same rules. Produces the near-perfect edge bidirectionality of the
-    # paper's graph (15,604 directed non-loop edges over 7,820 unordered
-    # pairs — ratio 2.0).
-    p_return: float = 0.40
     # endpoint counts for the deliberately weak "dud" stations; the realized
     # minimum fixed-station degree (about half of these after destination
     # sharpening) becomes Algorithm 1's threshold at SF=1
     dud_station_endpoints: tuple[int, ...] = (56, 64, 72, 80)
-    # geometry
-    hotspot_min_sep_m: float = 180.0
-    hotspot_station_min_sep_m: float = 300.0
-    station_min_sep_m: float = 260.0
-    station_loc_radius_m: float = 45.0
-    hotspot_loc_radius_m: float = 32.0
     # dirty-record counts (Table I deltas at SF=1)
     dirty_rentals_null_ref: int = 120
     dirty_rentals_phantom_ref: int = 100
@@ -112,7 +117,6 @@ class MobyConfig:
     dirty_locs_no_coords: int = 18
     dirty_locs_unreferenced: int = 30
     n_bad_stations: int = 3
-    n_bikes: int = 95
 
     @property
     def n_dirty_rentals(self) -> int:
@@ -259,7 +263,7 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
     for g in LEAF_GROUPS:
         pts = _place_points(
             rng, leaf_station_counts[g.leaf_id], g.anchor, g.spread_m,
-            station_coords, cfg.station_min_sep_m, cfg.station_min_sep_m,
+            station_coords, STATION_MIN_SEP_M, STATION_MIN_SEP_M,
         )
         station_coords.append(pts)
         for lat, lon in pts:
@@ -278,7 +282,7 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
             continue
         pts = _place_points(
             rng, int(n_h), g.anchor, g.spread_m * 1.6,
-            hotspot_coords, cfg.hotspot_station_min_sep_m, cfg.hotspot_min_sep_m,
+            hotspot_coords, HOTSPOT_STATION_MIN_SEP_M, HOTSPOT_MIN_SEP_M,
         )
         # after the first leaf, "other" includes stations + prior hotspots;
         # hotspot-hotspot separation uses the tighter self threshold.
@@ -293,7 +297,7 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
 
     # --- endpoint mass allocation -------------------------------------
     total_endpoints = 2 * cfg.n_rentals
-    station_total = int(round(total_endpoints * cfg.station_share))
+    station_total = int(round(total_endpoints * STATION_SHARE))
     hotspot_total = total_endpoints - station_total
 
     mass = np.zeros(len(nodes), dtype=int)
@@ -309,7 +313,7 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
     w = np.zeros(len(rest))
     for leaf, grp in rest_nodes.groupby("leaf_id"):
         ranks = np.arange(1, len(grp) + 1, dtype=float)
-        zw = ranks ** (-cfg.station_alpha)
+        zw = ranks ** (-STATION_ALPHA)
         zw = zw / zw.sum() * leaf_mass[leaf]
         w[np.isin(rest, grp.index.to_numpy())] = rng.permutation(zw)
     mass[rest] = _largest_remainder(w, station_total - int(duds.sum()))
@@ -321,7 +325,7 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
         hw = np.zeros(len(hs_idx))
         for leaf, grp in hs_nodes.groupby("leaf_id"):
             ranks = np.arange(1, len(grp) + 1, dtype=float)
-            zw = ranks ** (-cfg.hotspot_alpha)
+            zw = ranks ** (-HOTSPOT_ALPHA)
             zw = zw / zw.sum() * leaf_hmass[leaf]
             hw[np.isin(hs_idx, grp.index.to_numpy())] = rng.permutation(zw)
         mass[hs_idx] = _largest_remainder(hw, hotspot_total)
@@ -337,13 +341,13 @@ def _sample_trips(cfg: MobyConfig, rng: np.random.Generator, nodes: pd.DataFrame
     """Sample (src_node, dst_node, relation, day, hour) for every clean
     rental, honouring the latent hierarchy's preference structure.
 
-    ``p_return`` of the trips are return journeys: they reverse the
+    ``P_RETURN`` of the trips are return journeys: they reverse the
     endpoints of a random base trip; their temporal features are redrawn
     below under the same (symmetric) rules, so the planted day/hour
     structure is preserved while edge reciprocity matches the paper's.
     """
     n = cfg.n_rentals
-    n_ret = int(round(n * cfg.p_return))
+    n_ret = int(round(n * P_RETURN))
     n_base = n - n_ret
     mass = nodes["endpoint_mass"].to_numpy().astype(float)
     p_node = mass / mass.sum()
@@ -357,24 +361,13 @@ def _sample_trips(cfg: MobyConfig, rng: np.random.Generator, nodes: pd.DataFrame
     zcode = np.array([zone_code[z] for z in zone])
 
     # relation classes: 0=self 1=same-leaf 2=same-day-group 3=same-zone 4=any
-    p_any = 1.0 - (cfg.p_self + cfg.p_leaf + cfg.p_daygroup + cfg.p_zone)
-    if p_any < -1e-9:
-        raise ValueError("relation probabilities exceed 1")
-    mix_by_zone = {
-        z: (cfg.p_self, cfg.p_leaf, cfg.p_daygroup, cfg.p_zone, max(p_any, 0.0))
-        for z in pd.unique(nodes["zone"])
-    }
-    for z, mix in cfg.zone_mix:
-        if abs(sum(mix) - 1.0) > 1e-9:
-            raise ValueError(f"zone_mix for {z!r} must sum to 1")
-        mix_by_zone[z] = mix
     rel = np.empty(n_base, dtype=int)
-    src_zone = nodes["zone"].to_numpy()[src]
-    for z, mix in mix_by_zone.items():
+    src_zone = zone[src]
+    for z in zones:
         sel = src_zone == z
         cnt = int(sel.sum())
         if cnt:
-            rel[sel] = rng.choice(5, size=cnt, p=list(mix))
+            rel[sel] = rng.choice(5, size=cnt, p=ZONE_MIX.get(z, _RELATION_MIX))
 
     dst = np.empty(n_base, dtype=int)
     dst[rel == 0] = src[rel == 0]
@@ -382,7 +375,7 @@ def _sample_trips(cfg: MobyConfig, rng: np.random.Generator, nodes: pd.DataFrame
     # Pre-compute conditional destination distributions per (leaf, relation).
     # Destination mass is sharpened (mass^gamma) to concentrate trips on
     # popular pairs, matching the paper's trips-per-edge density.
-    sharp = mass ** cfg.dst_sharpen
+    sharp = mass ** DST_SHARPEN
 
     def masked_p(mask: np.ndarray) -> np.ndarray | None:
         m = sharp * mask
@@ -500,29 +493,30 @@ def _build_locations(
         n_locs[i] -= cut
         deficit += cut
 
-    rows = []
-    for i, node in nodes.iterrows():
-        k = int(n_locs[i])
-        if k == 0:
-            continue
-        radius = (
-            cfg.station_loc_radius_m if node.kind == "station" else cfg.hotspot_loc_radius_m
-        )
-        r = radius * np.sqrt(rng.random(k))
-        theta = rng.random(k) * 2 * np.pi
-        lat = node.lat + (r * np.cos(theta)) / _M_PER_DEG_LAT
-        lon = node.lon + (r * np.sin(theta)) / (
-            _M_PER_DEG_LAT * np.cos(np.radians(node.lat))
-        )
-        # the station's own coordinate is location 0 of its group
-        if node.kind == "station":
-            lat[0], lon[0] = node.lat, node.lon
-        for j in range(k):
-            rows.append(
-                dict(node_id=int(node.node_id), lat=float(lat[j]), lon=float(lon[j]),
-                     is_station=bool(node.kind == "station" and j == 0))
-            )
-    return pd.DataFrame(rows)
+    # r and theta per node, in node order: each node's points draw r, then theta
+    draws = [(rng.random(k), rng.random(k)) for k in n_locs]
+    u_r = np.concatenate([d[0] for d in draws])
+    u_theta = np.concatenate([d[1] for d in draws])
+    station = nodes["kind"].to_numpy() == "station"
+    node_lat = nodes["lat"].to_numpy()
+    node_lon = nodes["lon"].to_numpy()
+    radius = np.where(station, STATION_LOC_RADIUS_M, HOTSPOT_LOC_RADIUS_M)
+    r = np.repeat(radius, n_locs) * np.sqrt(u_r)
+    theta = u_theta * 2 * np.pi
+    lat = np.repeat(node_lat, n_locs) + (r * np.cos(theta)) / _M_PER_DEG_LAT
+    lon = np.repeat(node_lon, n_locs) + (r * np.sin(theta)) / np.repeat(
+        _M_PER_DEG_LAT * np.cos(np.radians(node_lat)), n_locs
+    )
+    # the station's own coordinate is location 0 of its group
+    station_first = (np.cumsum(n_locs) - n_locs)[station]
+    lat[station_first] = node_lat[station]
+    lon[station_first] = node_lon[station]
+    is_station = np.zeros(len(lat), dtype=bool)
+    is_station[station_first] = True
+    return pd.DataFrame(
+        {"node_id": np.repeat(nodes["node_id"].to_numpy(), n_locs),
+         "lat": lat, "lon": lon, "is_station": is_station}
+    )
 
 
 def _assign_endpoint_locations(
@@ -621,7 +615,7 @@ def generate(spark: SparkSession, cfg: MobyConfig | None = None) -> MobyData:
     rentals_pdf = pd.DataFrame(
         {
             "rental_id": np.arange(1, cfg.n_rentals + 1),
-            "bike_id": rng.integers(1, cfg.n_bikes + 1, cfg.n_rentals),
+            "bike_id": rng.integers(1, N_BIKES + 1, cfg.n_rentals),
             "rental_location_id": clean_loc_ids[src_locrow].astype(float),
             "return_location_id": clean_loc_ids[dst_locrow].astype(float),
             "start_time": pd.Series(start),
@@ -736,7 +730,7 @@ def _inject_dirt(
                 + np.timedelta64(h * 3600, "s")
             )
             dirty_rentals.append(
-                dict(rental_id=rid, bike_id=int(rng.integers(1, cfg.n_bikes + 1)),
+                dict(rental_id=rid, bike_id=int(rng.integers(1, N_BIKES + 1)),
                      rental_location_id=rental_ref(j), return_location_id=return_ref(j),
                      start_time=pd.Timestamp(st), end_time=pd.Timestamp(st) + pd.Timedelta(minutes=15))
             )

@@ -4,7 +4,7 @@
 the Moby tables -> clean (Table I) -> HAC candidates (Table II) ->
 Algorithm 1 selection (Table III) -> Louvain on G_Basic/G_Day/G_Hour
 (Tables IV/V/VI). Each stage's outputs are exposed on the result object
-so tests and benchmarks can exercise them independently.
+so tests and ``perfbench/`` can exercise them independently.
 
 HAC and Algorithm 1 hand their tables to each other as pandas, on the
 driver. Spark receives only the frames a Spark join reads, each built
@@ -87,7 +87,7 @@ def run_pipeline(
     data: MobyData | None = None,
 ) -> PipelineResult:
     """Execute the full paper pipeline. Pass ``data`` to reuse an already
-    generated dataset (benchmarks), else ``cfg`` controls generation."""
+    generated dataset (``perfbench/``), else ``cfg`` controls generation."""
     data = data or generate(spark, cfg or paper_config())
     cleaned = clean(data.locations, data.rentals)
 

@@ -3,7 +3,7 @@ shaped like the table in the paper (plus the headline scalars around it).
 
 These functions consume a :class:`repro.pipeline.PipelineResult`, so a
 single pipeline run yields every table; ``jobs/`` wraps them for
-spark-submit and ``benchmarks/`` times them.
+spark-submit and ``perfbench/`` times them.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """The six cleaning rules (Section III) — each rule individually on
 hand-built dirty tables, plus Table-I-delta consistency on the generator
-output (exactness at SF=1 is asserted in the benchmark run; here SF=0.05
-keeps the suite fast while covering the same code path)."""
+output (the deltas are exact by construction at every scale factor;
+SF=0.05 keeps the suite fast while covering the same code path)."""
 from __future__ import annotations
 
 import pandas as pd

@@ -2,6 +2,8 @@
 geometry and determinism."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,9 +11,12 @@ import pytest
 from repro.geo import haversine_np
 from repro.moby.generator import (
     DUBLIN_BBOX,
+    HOTSPOT_LOC_RADIUS_M,
+    HOTSPOT_MIN_SEP_M,
+    HOTSPOT_STATION_MIN_SEP_M,
     SEA_LAT,
     SEA_LON_MIN,
-    MobyConfig,
+    STATION_LOC_RADIUS_M,
     generate,
     paper_config,
 )
@@ -36,6 +41,32 @@ def test_scaled_cardinalities(sf):
     cfg = paper_config(sf=sf)
     assert cfg.n_rentals == round(61_872 * sf)
     assert cfg.n_locations == round(14_156 * sf)
+
+
+# sha256 of pd.util.hash_pandas_object(pdf, index=True) for the SF=0.05 tables
+RAW_TABLES = {
+    "locations_pdf": (
+        {"location_id": "int64", "lat": "float64", "lon": "float64",
+         "is_station": "bool", "station_id": "float64"},
+        "6705b6f6eb6b2111d3510beff2cea827856294ea3d8322b74e92011e5f40f464",
+    ),
+    "rentals_pdf": (
+        {"rental_id": "int64", "bike_id": "int64", "rental_location_id": "float64",
+         "return_location_id": "float64", "start_time": "datetime64[ns]",
+         "end_time": "datetime64[ns]"},
+        "d0b1375f3a2f3450b5e19188f30744a88e9f87602029c126970b259778a8515b",
+    ),
+}
+
+
+def test_raw_tables_fingerprint(data):
+    """The generator's output is pinned bit for bit: any change to its
+    constants or to the order of its random draws changes a hash."""
+    for table, (dtypes, digest) in RAW_TABLES.items():
+        pdf = getattr(data, table)
+        assert pdf.dtypes.astype(str).to_dict() == dtypes, table
+        row_hashes = pd.util.hash_pandas_object(pdf, index=True).to_numpy()
+        assert hashlib.sha256(row_hashes.tobytes()).hexdigest() == digest, table
 
 
 def test_raw_table_sizes(data):
@@ -116,7 +147,7 @@ def test_hotspot_station_separation(data):
         hs.lat.to_numpy()[:, None], hs.lon.to_numpy()[:, None],
         st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
     )
-    assert d.min() >= data.config.hotspot_station_min_sep_m - 1e-6
+    assert d.min() >= HOTSPOT_STATION_MIN_SEP_M - 1e-6
 
 
 def test_hotspot_mutual_separation(data):
@@ -126,7 +157,7 @@ def test_hotspot_mutual_separation(data):
         hs.lat.to_numpy()[None, :], hs.lon.to_numpy()[None, :],
     )
     np.fill_diagonal(d, np.inf)
-    assert d.min() >= data.config.hotspot_min_sep_m - 1e-6
+    assert d.min() >= HOTSPOT_MIN_SEP_M - 1e-6
 
 
 def test_locations_stay_within_node_radius(data):
@@ -141,8 +172,8 @@ def test_locations_stay_within_node_radius(data):
     )
     limit = np.where(
         merged.kind.to_numpy() == "station",
-        data.config.station_loc_radius_m,
-        data.config.hotspot_loc_radius_m,
+        STATION_LOC_RADIUS_M,
+        HOTSPOT_LOC_RADIUS_M,
     )
     assert (d <= limit + 1e-6).all()
 
@@ -158,15 +189,6 @@ def test_different_seed_changes_data(spark):
     a = generate(spark, paper_config(sf=0.02, seed=7))
     b = generate(spark, paper_config(sf=0.02, seed=8))
     assert not a.rentals_pdf["rental_location_id"].equals(b.rentals_pdf["rental_location_id"])
-
-
-def test_zone_mix_must_sum_to_one(spark):
-    cfg = paper_config(sf=0.02)
-    bad = MobyConfig(
-        **{**cfg.__dict__, "zone_mix": (("suburb", (0.5, 0.1, 0.1, 0.1, 0.1)),)}
-    )
-    with pytest.raises(ValueError, match="sum to 1"):
-        generate(spark, bad)
 
 
 def test_spark_frames_match_pandas(data):
