@@ -59,15 +59,15 @@ def pairwise_haversine_np(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return haversine_np(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
-def cell_size_deg(eps_m: float, ref_lat_deg: float) -> tuple[float, float]:
+def cell_size_deg(eps_m: float) -> tuple[float, float]:
     """Grid cell size (dlat, dlon) in degrees such that any two points
     within ``eps_m`` metres fall in the same or an adjacent cell.
 
-    Longitude degrees shrink by cos(latitude); ``ref_lat_deg`` should be the
-    highest-|latitude| point of the region of interest so the bound is safe.
+    Longitude degrees shrink by cos(latitude), so the longitude side is
+    sized at :data:`GRID_REF_LAT_DEG`, north of every point it must cover.
     """
     dlat = eps_m / M_PER_DEG_LAT
-    dlon = eps_m / (M_PER_DEG_LAT * math.cos(math.radians(ref_lat_deg)))
+    dlon = eps_m / (M_PER_DEG_LAT * math.cos(math.radians(GRID_REF_LAT_DEG)))
     return dlat, dlon
 
 
@@ -81,7 +81,7 @@ def with_grid_cell(
     cell or one of the 8 adjacent cells — the basis for the distributed
     eps-proximity join in :mod:`repro.hac.proximity`.
     """
-    dlat, dlon = cell_size_deg(eps_m, GRID_REF_LAT_DEG)
+    dlat, dlon = cell_size_deg(eps_m)
     return df.withColumn(
         "cell_i", F.floor(F.col(lat_col) / F.lit(dlat)).cast("long")
     ).withColumn(

@@ -33,12 +33,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.geo import haversine_np
-from repro.moby.profiles import (
-    DAY_NEUTRAL,
-    HOUR_NEUTRAL,
-    LEAF_GROUPS,
-    LeafGroup,
-)
+from repro.moby.profiles import DAY_NEUTRAL, HOUR_NEUTRAL, LEAF_GROUPS
 
 # Dublin bounding box used by the cleaning rules (lat_min, lat_max, lon_min,
 # lon_max) and a crude "Dublin Bay" sea half-plane: everything east of
@@ -47,6 +42,15 @@ from repro.moby.profiles import (
 DUBLIN_BBOX = (53.15, 53.50, -6.60, -5.95)
 SEA_LON_MIN = -6.09
 SEA_LAT = (53.25, 53.45)
+# where each kind of dirty location lies: ((lat, lon) low, (lat, lon) high)
+# of a uniform draw; None for no coordinates. The unreferenced ones are
+# valid Dublin points that no rental references.
+_DIRTY_LOCATION_BOX = {
+    "outside": ((51.8, -8.6), (52.9, -7.0)),
+    "sea": ((SEA_LAT[0], SEA_LON_MIN + 0.005), (SEA_LAT[1], -5.98)),
+    "no_coords": None,
+    "unreferenced": ((53.30, -6.35), (53.37, -6.15)),
+}
 
 _M_PER_DEG_LAT = 111_194.9
 _WEEK0 = np.datetime64("2020-01-06")  # first Monday in the data window
@@ -92,83 +96,79 @@ HOTSPOT_LOC_RADIUS_M = 32.0
 N_BIKES = 95
 
 
+# Dirty-record counts at SF=1, in generation order: the Table I deltas.
+# The "outside" locations include the N_BAD_STATIONS bad stations; each
+# dirty-rental kind past the two bad references points at the dirty
+# locations of the same kind.
+DIRTY_LOCATIONS_SF1 = {"outside": 20, "sea": 15, "no_coords": 18, "unreferenced": 30}
+DIRTY_RENTALS_SF1 = {"null_ref": 120, "phantom_ref": 100, "outside": 90, "sea": 80, "no_coords": 62}
+N_BAD_STATIONS = 3
+# endpoint counts for the deliberately weak "dud" stations at SF=1; the
+# realized minimum fixed-station degree (about half of these after
+# destination sharpening) becomes Algorithm 1's threshold at SF=1
+DUD_STATION_ENDPOINTS_SF1 = (56, 64, 72, 80)
+
+
+def _scaled(x: int, sf: float, lo: int = 1) -> int:
+    """The generator's one scale rule: an SF=1 count times ``sf``, rounded,
+    never below ``lo``."""
+    return max(lo, round(x * sf))
+
+
 @dataclass(frozen=True)
 class MobyConfig:
-    """The generator's scale, seed and dirt counts. ``paper_config`` builds
-    the calibrated preset; the calibrated shape is the module constants."""
+    """The generator's seed and scale. ``paper_config`` builds the
+    calibrated preset; every other count derives from ``sf`` and the
+    calibrated shape is the module constants."""
 
     seed: int = 10
+    sf: float = 1.0
     n_rentals: int = 61_872  # clean rentals
     n_locations: int = 14_156  # clean, referenced locations
-    n_hotspots: int = 1_080
     station_scale: float = 1.0  # multiplies per-leaf station counts (92 total at 1.0)
-    # endpoint counts for the deliberately weak "dud" stations; the realized
-    # minimum fixed-station degree (about half of these after destination
-    # sharpening) becomes Algorithm 1's threshold at SF=1
-    dud_station_endpoints: tuple[int, ...] = (56, 64, 72, 80)
-    # dirty-record counts (Table I deltas at SF=1)
-    dirty_rentals_null_ref: int = 120
-    dirty_rentals_phantom_ref: int = 100
-    dirty_rentals_outside: int = 90
-    dirty_rentals_sea: int = 80
-    dirty_rentals_no_coords: int = 62
-    dirty_locs_outside: int = 20  # includes the 3 bad stations
-    dirty_locs_sea: int = 15
-    dirty_locs_no_coords: int = 18
-    dirty_locs_unreferenced: int = 30
-    n_bad_stations: int = 3
+
+    n_bad_stations = N_BAD_STATIONS  # a class constant, not a field
+
+    @property
+    def n_hotspots(self) -> int:
+        return _scaled(1_080, self.sf, lo=10)
+
+    @property
+    def dud_station_endpoints(self) -> tuple[int, ...]:
+        return tuple(_scaled(x, self.sf, lo=4) for x in DUD_STATION_ENDPOINTS_SF1)
+
+    @property
+    def dirty_locations(self) -> dict[str, int]:
+        """Dirty-location count per kind (the outside ones cover the bad stations)."""
+        return {
+            kind: _scaled(x, self.sf, lo=N_BAD_STATIONS if kind == "outside" else 0)
+            for kind, x in DIRTY_LOCATIONS_SF1.items()
+        }
+
+    @property
+    def dirty_rentals(self) -> dict[str, int]:
+        """Dirty-rental count per kind; 0 for a kind without dirty locations."""
+        locs = self.dirty_locations
+        return {
+            kind: _scaled(x, self.sf, lo=0) if locs.get(kind) != 0 else 0
+            for kind, x in DIRTY_RENTALS_SF1.items()
+        }
 
     @property
     def n_dirty_rentals(self) -> int:
-        return (
-            self.dirty_rentals_null_ref
-            + self.dirty_rentals_phantom_ref
-            + self.dirty_rentals_outside
-            + self.dirty_rentals_sea
-            + self.dirty_rentals_no_coords
-        )
+        return sum(self.dirty_rentals.values())
 
     @property
     def n_dirty_locations(self) -> int:
-        return (
-            self.dirty_locs_outside
-            + self.dirty_locs_sea
-            + self.dirty_locs_no_coords
-            + self.dirty_locs_unreferenced
-        )
+        return sum(self.dirty_locations.values())
 
 
 def paper_config(sf: float = 1.0, *, seed: int = 10) -> MobyConfig:
     """Paper-calibrated config. SF=1 reproduces Table I exactly; smaller
     SF scales rentals/locations/hotspots/dirt linearly (stations stay 92
     so the station-level analyses keep their structure)."""
-
-    def s(x: int, lo: int = 1) -> int:
-        return max(lo, round(x * sf))
-
-    locs_outside = s(20, lo=3)  # must cover the 3 bad stations
-    locs_sea = s(15, lo=0)
-    locs_no_coords = s(18, lo=0)
-
-    def rentals_for(n: int, pool: int) -> int:
-        # a dirty-rental category needs at least one matching dirty location
-        return s(n, lo=0) if pool > 0 else 0
-
     return MobyConfig(
-        seed=seed,
-        n_rentals=s(61_872),
-        n_locations=s(14_156),
-        n_hotspots=s(1_080, lo=10),
-        dirty_rentals_null_ref=s(120, lo=0),
-        dirty_rentals_phantom_ref=s(100, lo=0),
-        dirty_rentals_outside=rentals_for(90, locs_outside),
-        dirty_rentals_sea=rentals_for(80, locs_sea),
-        dirty_rentals_no_coords=rentals_for(62, locs_no_coords),
-        dirty_locs_outside=locs_outside,
-        dirty_locs_sea=locs_sea,
-        dirty_locs_no_coords=locs_no_coords,
-        dirty_locs_unreferenced=s(30, lo=0),
-        dud_station_endpoints=tuple(max(4, round(x * sf)) for x in (56, 64, 72, 80)),
+        seed=seed, sf=sf, n_rentals=_scaled(61_872, sf), n_locations=_scaled(14_156, sf)
     )
 
 
@@ -250,50 +250,50 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+def _zipf_weights(
+    rng: np.random.Generator, nodes: pd.DataFrame, idx: np.ndarray, alpha: float,
+    leaf_mass: dict[int, float],
+) -> np.ndarray:
+    """Zipf(``alpha``) weights over the nodes at ``idx``, each leaf's shuffled
+    and summing to ``leaf_mass[leaf]``."""
+    w = np.zeros(len(idx))
+    for leaf, grp in nodes.loc[idx].groupby("leaf_id"):
+        zw = np.arange(1, len(grp) + 1, dtype=float) ** (-alpha)
+        zw = zw / zw.sum() * leaf_mass[leaf]
+        w[np.isin(idx, grp.index.to_numpy())] = rng.permutation(zw)
+    return w
+
+
 def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
     """Place stations and hotspots per leaf group and allocate endpoint
     mass. Returns one row per node with ground-truth leaf labels."""
-    rows = []
-    station_coords: list[np.ndarray] = []
-    node_id = 0
-    leaf_station_counts = {
-        g.leaf_id: max(1, round(g.n_stations * cfg.station_scale)) for g in LEAF_GROUPS
-    }
     # stations first (hotspots must keep distance from them)
+    placed: list[np.ndarray] = []  # one block of points per (kind, leaf)
+    labels: list[tuple[str, int, int, str]] = []  # each block's kind, leaf, day group, zone
     for g in LEAF_GROUPS:
-        pts = _place_points(
-            rng, leaf_station_counts[g.leaf_id], g.anchor, g.spread_m,
-            station_coords, STATION_MIN_SEP_M, STATION_MIN_SEP_M,
-        )
-        station_coords.append(pts)
-        for lat, lon in pts:
-            rows.append(
-                dict(node_id=node_id, kind="station", leaf_id=g.leaf_id,
-                     day_group=g.day_group, zone=g.zone, lat=lat, lon=lon)
-            )
-            node_id += 1
-    all_station = np.vstack(station_coords)
+        placed.append(_place_points(
+            rng, max(1, round(g.n_stations * cfg.station_scale)), g.anchor, g.spread_m,
+            placed, STATION_MIN_SEP_M, STATION_MIN_SEP_M,
+        ))
+        labels.append(("station", g.leaf_id, g.day_group, g.zone))
     hotspot_counts = _largest_remainder(
         np.array([g.n_hotspots_frac for g in LEAF_GROUPS]), cfg.n_hotspots
     )
-    hotspot_coords: list[np.ndarray] = [all_station]
     for g, n_h in zip(LEAF_GROUPS, hotspot_counts):
         if n_h == 0:
             continue
-        pts = _place_points(
-            rng, int(n_h), g.anchor, g.spread_m * 1.6,
-            hotspot_coords, HOTSPOT_STATION_MIN_SEP_M, HOTSPOT_MIN_SEP_M,
-        )
-        # after the first leaf, "other" includes stations + prior hotspots;
+        # "other" is the stations and the earlier leaves' hotspots;
         # hotspot-hotspot separation uses the tighter self threshold.
-        hotspot_coords.append(pts)
-        for lat, lon in pts:
-            rows.append(
-                dict(node_id=node_id, kind="hotspot", leaf_id=g.leaf_id,
-                     day_group=g.day_group, zone=g.zone, lat=lat, lon=lon)
-            )
-            node_id += 1
-    nodes = pd.DataFrame(rows)
+        placed.append(_place_points(
+            rng, int(n_h), g.anchor, g.spread_m * 1.6,
+            placed, HOTSPOT_STATION_MIN_SEP_M, HOTSPOT_MIN_SEP_M,
+        ))
+        labels.append(("hotspot", g.leaf_id, g.day_group, g.zone))
+    block_of_node = np.repeat(np.arange(len(placed)), [len(pts) for pts in placed])
+    nodes = pd.DataFrame(labels, columns=["kind", "leaf_id", "day_group", "zone"])
+    nodes = nodes.iloc[block_of_node].reset_index(drop=True)
+    nodes.insert(0, "node_id", np.arange(len(nodes)))
+    nodes[["lat", "lon"]] = np.vstack(placed)
 
     # --- endpoint mass allocation -------------------------------------
     total_endpoints = 2 * cfg.n_rentals
@@ -306,29 +306,18 @@ def _build_nodes(cfg: MobyConfig, rng: np.random.Generator) -> pd.DataFrame:
     # duds go to a deterministic subset (spread across leaves by stride)
     dud_pos = st_idx[:: max(1, len(st_idx) // max(1, len(duds)))][: len(duds)]
     mass[dud_pos] = duds
+    # per-leaf station and hotspot mass shares, zipf within leaf
     rest = np.setdiff1d(st_idx, dud_pos)
-    # per-leaf station mass share, zipf within leaf
-    rest_nodes = nodes.loc[rest]
-    leaf_mass = {g.leaf_id: g.station_mass for g in LEAF_GROUPS}
-    w = np.zeros(len(rest))
-    for leaf, grp in rest_nodes.groupby("leaf_id"):
-        ranks = np.arange(1, len(grp) + 1, dtype=float)
-        zw = ranks ** (-STATION_ALPHA)
-        zw = zw / zw.sum() * leaf_mass[leaf]
-        w[np.isin(rest, grp.index.to_numpy())] = rng.permutation(zw)
-    mass[rest] = _largest_remainder(w, station_total - int(duds.sum()))
-
-    hs_idx = nodes.index[nodes.kind == "hotspot"].to_numpy()
-    if len(hs_idx):
-        hs_nodes = nodes.loc[hs_idx]
-        leaf_hmass = {g.leaf_id: g.hotspot_mass for g in LEAF_GROUPS}
-        hw = np.zeros(len(hs_idx))
-        for leaf, grp in hs_nodes.groupby("leaf_id"):
-            ranks = np.arange(1, len(grp) + 1, dtype=float)
-            zw = ranks ** (-HOTSPOT_ALPHA)
-            zw = zw / zw.sum() * leaf_hmass[leaf]
-            hw[np.isin(hs_idx, grp.index.to_numpy())] = rng.permutation(zw)
-        mass[hs_idx] = _largest_remainder(hw, hotspot_total)
+    station_mass = {g.leaf_id: g.station_mass for g in LEAF_GROUPS}
+    mass[rest] = _largest_remainder(
+        _zipf_weights(rng, nodes, rest, STATION_ALPHA, station_mass),
+        station_total - int(duds.sum()),
+    )
+    hs_idx = nodes.index[nodes.kind == "hotspot"].to_numpy()  # n_hotspots >= 10
+    hotspot_mass = {g.leaf_id: g.hotspot_mass for g in LEAF_GROUPS}
+    mass[hs_idx] = _largest_remainder(
+        _zipf_weights(rng, nodes, hs_idx, HOTSPOT_ALPHA, hotspot_mass), hotspot_total
+    )
     nodes["endpoint_mass"] = np.maximum(mass, 2)
     return nodes
 
@@ -664,111 +653,52 @@ def _inject_dirt(
     Dirty rentals reference a dirty location on one endpoint and a *popular*
     clean location on the other, so removing them never orphans a clean
     location (Table I stays exact)."""
-    lat_min, lat_max, lon_min, lon_max = DUBLIN_BBOX
-    dirty_rows = []
-    ids = iter(dirty_loc_ids)
-
-    outside_ids, sea_ids, nocoord_ids, unref_ids = [], [], [], []
-    for i in range(cfg.dirty_locs_outside):
-        lid = int(next(ids))
-        outside_ids.append(lid)
-        is_station = i < cfg.n_bad_stations
-        dirty_rows.append(
-            dict(location_id=lid, lat=float(rng.uniform(51.8, 52.9)),
-                 lon=float(rng.uniform(-8.6, -7.0)), is_station=is_station,
-                 station_id=(1000 + i) if is_station else np.nan)
-        )
-    for _ in range(cfg.dirty_locs_sea):
-        lid = int(next(ids))
-        sea_ids.append(lid)
-        dirty_rows.append(
-            dict(location_id=lid, lat=float(rng.uniform(*SEA_LAT)),
-                 lon=float(rng.uniform(SEA_LON_MIN + 0.005, -5.98)),
-                 is_station=False, station_id=np.nan)
-        )
-    for _ in range(cfg.dirty_locs_no_coords):
-        lid = int(next(ids))
-        nocoord_ids.append(lid)
-        dirty_rows.append(
-            dict(location_id=lid, lat=np.nan, lon=np.nan, is_station=False,
-                 station_id=np.nan)
-        )
-    for _ in range(cfg.dirty_locs_unreferenced):
-        lid = int(next(ids))
-        unref_ids.append(lid)
-        # perfectly valid Dublin location that simply never appears in Rental
-        dirty_rows.append(
-            dict(location_id=lid, lat=float(rng.uniform(53.30, 53.37)),
-                 lon=float(rng.uniform(-6.35, -6.15)), is_station=False,
-                 station_id=np.nan)
-        )
-    if dirty_rows:
-        locations_pdf = pd.concat(
-            [locations_pdf, pd.DataFrame(dirty_rows)], ignore_index=True
-        )
+    counts = cfg.dirty_locations
+    pools = dict(zip(counts, np.split(dirty_loc_ids, np.cumsum(list(counts.values()))[:-1])))
+    frames = [locations_pdf]
+    for kind, lids in pools.items():
+        k = len(lids)
+        if k == 0:
+            continue
+        box = _DIRTY_LOCATION_BOX[kind]
+        lat_lon = rng.uniform(*box, size=(k, 2)) if box else np.full((k, 2), np.nan)
+        is_station = np.arange(k) < (N_BAD_STATIONS if kind == "outside" else 0)
+        frames.append(pd.DataFrame({
+            "location_id": lids, "lat": lat_lon[:, 0], "lon": lat_lon[:, 1],
+            "is_station": is_station,
+            "station_id": np.where(is_station, 1000 + np.arange(k), np.nan),
+        }))
+    locations_pdf = pd.concat(frames, ignore_index=True)
 
     # popular clean anchors for dirty rentals' second endpoint
-    popular = (
-        rentals_pdf["rental_location_id"].value_counts().index.to_numpy()[:200]
-    )
-
-    def popular_ref(k: int) -> np.ndarray:
-        return rng.choice(popular, size=k)
-
-    dirty_rentals = []
+    popular = rentals_pdf["rental_location_id"].value_counts().index.to_numpy()[:200]
+    frames = [rentals_pdf]
     rid = len(rentals_pdf) + 1
-
-    def add(k: int, rental_ref, return_ref) -> None:
-        nonlocal rid
-        for j in range(k):
-            d = int(rng.integers(0, 7))
-            h = int(rng.integers(6, 22))
-            wk = int(rng.integers(0, _N_WEEKS))
-            st = (
-                _WEEK0.astype("datetime64[s]")
-                + np.timedelta64(wk * 7 + d, "D").astype("timedelta64[s]")
-                + np.timedelta64(h * 3600, "s")
-            )
-            dirty_rentals.append(
-                dict(rental_id=rid, bike_id=int(rng.integers(1, N_BIKES + 1)),
-                     rental_location_id=rental_ref(j), return_location_id=return_ref(j),
-                     start_time=pd.Timestamp(st), end_time=pd.Timestamp(st) + pd.Timedelta(minutes=15))
-            )
-            rid += 1
-
-    # 1. missing refs (alternate sides)
-    pop = popular_ref(cfg.dirty_rentals_null_ref)
-    add(
-        cfg.dirty_rentals_null_ref,
-        lambda j, p=pop: float(p[j]) if j % 2 == 0 else np.nan,
-        lambda j, p=pop: np.nan if j % 2 == 0 else float(p[j]),
-    )
-    # 2. phantom refs (ids beyond the id space)
-    pop = popular_ref(cfg.dirty_rentals_phantom_ref)
-    add(
-        cfg.dirty_rentals_phantom_ref,
-        lambda j, p=pop: float(n_total_loc + 1000 + j) if j % 2 == 0 else float(p[j]),
-        lambda j, p=pop: float(p[j]) if j % 2 == 0 else float(n_total_loc + 5000 + j),
-    )
-    # 3-5. refs to bad-coordinate locations
-    for k, bad_ids in (
-        (cfg.dirty_rentals_outside, outside_ids),
-        (cfg.dirty_rentals_sea, sea_ids),
-        (cfg.dirty_rentals_no_coords, nocoord_ids),
-    ):
-        if k and not bad_ids:
-            raise ValueError("dirty rentals configured without matching dirty locations")
-        if not k:
+    for kind, k in cfg.dirty_rentals.items():
+        if k == 0:
             continue
-        bad = rng.choice(np.array(bad_ids), size=k)
-        pop = popular_ref(k)
-        add(
-            k,
-            lambda j, b=bad, p=pop: float(b[j]) if j % 2 == 0 else float(p[j]),
-            lambda j, b=bad, p=pop: float(p[j]) if j % 2 == 0 else float(b[j]),
-        )
-    if dirty_rentals:
-        rentals_pdf = pd.concat(
-            [rentals_pdf, pd.DataFrame(dirty_rentals)], ignore_index=True
-        )
-    return locations_pdf, rentals_pdf
+        j = np.arange(k)
+        if kind == "null_ref":
+            bad = np.full(k, np.nan)
+        elif kind == "phantom_ref":  # ids beyond the id space
+            bad = n_total_loc + np.where(j % 2 == 0, 1000, 5000) + j
+        else:
+            bad = rng.choice(pools[kind], size=k)
+        pop = rng.choice(popular, size=k)
+        day, hour, week, bike = rng.integers(
+            [0, 6, 0, 1], [7, 22, _N_WEEKS, N_BIKES + 1], size=(k, 4)
+        ).T
+        start = (
+            _WEEK0 + (week * 7 + day).astype("timedelta64[D]")
+            + (hour * 3600).astype("timedelta64[s]")
+        ).astype("datetime64[ns]")
+        # the bad endpoint alternates sides; null refs start on the return side
+        bad_rents = (j % 2 == 0) != (kind == "null_ref")
+        frames.append(pd.DataFrame({
+            "rental_id": rid + j, "bike_id": bike,
+            "rental_location_id": np.where(bad_rents, bad, pop).astype(float),
+            "return_location_id": np.where(bad_rents, pop, bad).astype(float),
+            "start_time": start, "end_time": start + np.timedelta64(15, "m"),
+        }))
+        rid += k
+    return locations_pdf, pd.concat(frames, ignore_index=True)

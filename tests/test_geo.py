@@ -12,6 +12,7 @@ from pyspark.sql import functions as F
 
 from repro.geo import (
     EARTH_RADIUS_M,
+    GRID_REF_LAT_DEG,
     cell_size_deg,
     haversine_col,
     haversine_np,
@@ -88,10 +89,10 @@ def test_pairwise_matches_scalar_reference():
 
 @pytest.mark.parametrize("eps", [50.0, 100.0, 250.0])
 def test_cell_size_upper_bounds_eps(eps):
-    dlat, dlon = cell_size_deg(eps, ref_lat_deg=53.5)
+    dlat, dlon = cell_size_deg(eps)
     # one cell side must be >= eps metres in both axes at the reference lat
     assert dlat * 111_194.9 >= eps * 0.999
-    assert dlon * 111_194.9 * math.cos(math.radians(53.5)) >= eps * 0.999
+    assert dlon * 111_194.9 * math.cos(math.radians(GRID_REF_LAT_DEG)) >= eps * 0.999
 
 
 @pytest.mark.parametrize("eps", [60.0, 100.0])

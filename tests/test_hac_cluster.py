@@ -226,7 +226,7 @@ def test_preassign_matches_sql_oracle(spark, preassign_scene):
     )
     assigned = d.min(axis=1) <= 50.0
     nearest = d.argmin(axis=1)
-    dlat, dlon = cell_size_deg(50.0, 54.0)
+    dlat, dlon = cell_size_deg(50.0)
     di = np.floor(pts.lat.to_numpy() / dlat) - np.floor(st.lat.to_numpy()[nearest] / dlat)
     dj = np.floor(pts.lon.to_numpy() / dlon) - np.floor(st.lon.to_numpy()[nearest] / dlon)
     assert (assigned & (np.abs(di) == 1) & (np.abs(dj) == 1)).any()
