@@ -8,12 +8,12 @@ Pipeline:
    immovable group centroids. This is an eps-grid join at 50 m
    (:mod:`repro.hac.proximity`): each location stays in its home cell, the
    stations are replicated to their 3x3 neighbouring cells and broadcast,
-   so every station within 50 m of a location meets it in a left join.
-   Per location, the minimum ``(distance, station_id)`` over the pairs
-   within 50 m picks the station, null when there is none. That one table
-   (every location with its coordinates and its station or null) is
-   collected once; the driver splits it into station-assigned and free
-   locations.
+   so every station within 50 m of a location meets it in a left join
+   whose condition holds the 50 m test. Its rows (each location with each
+   station within 50 m and the distance, or once with nulls when there is
+   none) are collected once, with no aggregate and no shuffle; the driver
+   sorts them by ``(location, distance, station id)``, keeps the first row
+   per location and splits them into station-assigned and free locations.
 2. **eps decomposition** — the free locations are split into connected
    components of the 100 m proximity graph (distributed grid join in
    Spark over the free points handed back as a local frame, components
@@ -74,6 +74,36 @@ def _sequential_mean(v: pd.Series) -> float:
     return np.cumsum(v.to_numpy())[-1] / len(v)
 
 
+def preassign_pairs(locations: DataFrame, st: pd.DataFrame) -> DataFrame:
+    """The pre-assignment's left eps-grid join at :data:`PRE_ASSIGN_M`:
+    ``(location_id, lat, lon, station_id, dist_m)`` for every station within
+    range of a location, or one row with null ``station_id``/``dist_m`` for
+    a location with none. ``st``: the stations (station_id, lat, lon), as
+    pandas; they are broadcast, so no location is shuffled."""
+    spark = locations.sparkSession
+    pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=PRE_ASSIGN_M)
+    st_cells = neighbour_cells(
+        with_grid_cell(
+            spark.createDataFrame(
+                st.rename(columns={"lat": "st_lat", "lon": "st_lon"}),
+                schema="station_id long, st_lat double, st_lon double",
+            ),
+            lat_col="st_lat", lon_col="st_lon", eps_m=PRE_ASSIGN_M,
+        )
+    ).withColumnsRenamed({"cell_i": "st_cell_i", "cell_j": "st_cell_j"})
+    dist = haversine_col(F.col("lat"), F.col("lon"), F.col("st_lat"), F.col("st_lon"))
+    on = (
+        (F.col("cell_i") == F.col("st_cell_i"))
+        & (F.col("cell_j") == F.col("st_cell_j"))
+        & (dist <= F.lit(PRE_ASSIGN_M))
+    )
+    # haversine_col's clamp turns a null distance into 0: keep it null
+    return pts.join(F.broadcast(st_cells), on, "left").select(
+        "location_id", "lat", "lon", "station_id",
+        F.when(F.col("station_id").isNotNull(), dist).alias("dist_m"),
+    )
+
+
 def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
@@ -86,29 +116,13 @@ def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResu
     if st.empty:
         raise ValueError("build_candidates: the stations table is empty")
 
-    # Pre-assignment: the left eps-grid join at PRE_ASSIGN_M; per location
-    # the min (dist, id) within range, or null.
-    pts = with_grid_cell(locations.select("location_id", "lat", "lon"), eps_m=PRE_ASSIGN_M)
-    st_cells = neighbour_cells(
-        with_grid_cell(
-            spark.createDataFrame(
-                st.rename(columns={"lat": "st_lat", "lon": "st_lon"}),
-                schema="station_id long, st_lat double, st_lon double",
-            ),
-            lat_col="st_lat", lon_col="st_lon", eps_m=PRE_ASSIGN_M,
-        )
-    )
-    dist = haversine_col(F.col("lat"), F.col("lon"), F.col("st_lat"), F.col("st_lon"))
-    near = F.when(
-        F.col("dist_m") <= F.lit(PRE_ASSIGN_M), F.struct("dist_m", "station_id")
-    )
+    # Pre-assignment: each location's first row by (dist, id) is its nearest
+    # station within range, ties to the smaller id, or null.
     pre = (
-        pts.join(F.broadcast(st_cells), ["cell_i", "cell_j"], "left")
-        .withColumn("dist_m", dist)
-        .groupBy("location_id", "lat", "lon")
-        .agg(F.min(near).alias("best"))
-        .select("location_id", "lat", "lon", F.col("best.station_id").alias("station_id"))
+        preassign_pairs(locations, st)
         .toPandas()
+        .sort_values(["location_id", "dist_m", "station_id"], na_position="last")
+        .drop_duplicates("location_id", ignore_index=True)
     )
     assigned = pre["station_id"].notna()
 

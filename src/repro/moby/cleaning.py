@@ -9,18 +9,19 @@ Removed entries:
 6. Locations never referenced by any (surviving) rental.
 
 All rule evaluation happens in Catalyst (joins/filters); only the Table I
-counts are collected, one Spark action per row-set: the raw tables, then
-the cleaned ones. Each action is one global aggregate over the union of
-the locations and the rentals, counting stations, locations and rentals
-with ``count_if``.
+counts are collected, by one Spark action once the cleaned tables exist:
+one global aggregate over the union of the raw and the cleaned locations
+and rentals, counting stations, locations and rentals of each with
+``count_if``.
 
 The semi-joins broadcast their right side, so the rules shuffle no row:
 rules 1-5 check both rental endpoints against the good location ids
 (~14k at SF=1), and rule 6 checks the good locations against the
 surviving rentals' endpoint ids, duplicates included (a semi-join needs
-no ``distinct``). The surviving rentals are materialised first and rule 6
-reads them, so the two endpoint semi-joins run once; the cleaned counts
-read both materialised tables.
+no ``distinct``). Both cleaned tables are local checkpoints filled by
+their first reader, not by a job of their own: rule 6's broadcast of the
+rental endpoints fills the rentals' checkpoint, so the two endpoint
+semi-joins run once, and the Table I aggregate fills the locations'.
 """
 from __future__ import annotations
 
@@ -62,25 +63,38 @@ def on_land(lat_col, lon_col):
     return ~sea
 
 
-def _table1_counts(locations: DataFrame, rentals: DataFrame) -> tuple[int, int, int]:
-    """``(stations, rentals, locations)`` row counts, taken by one Spark
-    action: one global aggregate over the two tables' rows, each tagged
-    with its table, so a single exchange serves both."""
-    rows = locations.select("is_station", F.lit(True).alias("is_location")).unionByName(
-        rentals.select(F.lit(False).alias("is_station"), F.lit(False).alias("is_location"))
-    )
+def _table1_counts(
+    raw: tuple[DataFrame, DataFrame], cleaned: tuple[DataFrame, DataFrame]
+) -> tuple[int, ...]:
+    """The ``(stations, rentals, locations)`` row counts of the raw, then of
+    the cleaned ``(locations, rentals)`` tables, taken by one Spark action:
+    one global aggregate over the four tables' rows, each tagged with its
+    table, so a single exchange serves them all."""
+
+    def tagged(locations: DataFrame, rentals: DataFrame, is_clean: bool) -> DataFrame:
+        return locations.select(
+            F.lit(is_clean).alias("is_clean"), "is_station", F.lit(True).alias("is_location")
+        ).unionByName(
+            rentals.select(
+                F.lit(is_clean).alias("is_clean"),
+                F.lit(False).alias("is_station"),
+                F.lit(False).alias("is_location"),
+            )
+        )
+
+    rows = tagged(*raw, False).unionByName(tagged(*cleaned, True))
     row = rows.agg(
-        F.count_if(F.col("is_station")).alias("stations"),
-        F.count_if(~F.col("is_location")).alias("rentals"),
-        F.count_if(F.col("is_location")).alias("locations"),
+        *(
+            F.count_if((F.col("is_clean") == is_clean) & cond)
+            for is_clean in (False, True)
+            for cond in (F.col("is_station"), ~F.col("is_location"), F.col("is_location"))
+        )
     ).first()
-    return row["stations"], row["rentals"], row["locations"]
+    return tuple(row)
 
 
 def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     """Apply all six rules and return cleaned tables + Table I counts."""
-    raw_stations, raw_rentals, raw_locations = _table1_counts(locations, rentals)
-
     lat, lon = F.col("lat"), F.col("lon")
     good_loc = locations.filter(
         lat.isNotNull() & lon.isNotNull() & in_dublin(lat, lon) & on_land(lat, lon)
@@ -96,8 +110,9 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     )
     # localCheckpoint (not cache): every downstream stage joins these
     # tables repeatedly and nests them in further plans — materialising
-    # here keeps all later logical plans shallow. The rentals go first so
-    # that rule 6 below reads them instead of re-running both semi-joins.
+    # them keeps all later logical plans shallow. Lazily: rule 6 below
+    # reads the rentals first and fills their checkpoint, so the two
+    # semi-joins run once.
     r = r.join(
         F.broadcast(good_ids.withColumnRenamed("location_id", "rental_location_id")),
         "rental_location_id",
@@ -106,26 +121,20 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         F.broadcast(good_ids.withColumnRenamed("location_id", "return_location_id")),
         "return_location_id",
         "left_semi",
-    ).localCheckpoint()
+    ).localCheckpoint(eager=False)
 
-    # Rule 6: drop locations never referenced by a surviving rental.
+    # Rule 6: drop locations never referenced by a surviving rental. The
+    # Table I aggregate below fills this checkpoint.
     refs = r.select(F.col("rental_location_id").alias("location_id")).unionByName(
         r.select(F.col("return_location_id").alias("location_id"))
     )
-    loc_clean = good_loc.join(F.broadcast(refs), "location_id", "left_semi").localCheckpoint()
+    loc_clean = good_loc.join(F.broadcast(refs), "location_id", "left_semi").localCheckpoint(
+        eager=False
+    )
 
     stations = loc_clean.filter(F.col("is_station")).select(
         "location_id", "lat", "lon", F.col("station_id").cast("long").alias("station_id")
     )
-    clean_stations, clean_rentals, clean_locations = _table1_counts(loc_clean, r)
-    return CleanResult(
-        locations=loc_clean,
-        rentals=r,
-        stations=stations,
-        raw_stations=raw_stations,
-        raw_rentals=raw_rentals,
-        raw_locations=raw_locations,
-        clean_stations=clean_stations,
-        clean_rentals=clean_rentals,
-        clean_locations=clean_locations,
-    )
+    # the counts come in CleanResult's field order
+    counts = _table1_counts((locations, rentals), (loc_clean, r))
+    return CleanResult(loc_clean, r, stations, *counts)

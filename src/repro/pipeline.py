@@ -10,7 +10,11 @@ HAC and Algorithm 1 hand their tables to each other as pandas, on the
 driver. Spark receives only the frames a Spark join reads, each built
 here from pandas through Arrow with an explicit schema: the candidate
 and the final ``(location_id, group_id)`` maps that resolve the rentals
-to groups, and the station kinds the community tables join.
+to groups, and the station kinds the community tables join. Both maps
+(one row per location) are broadcast, so resolving the rentals shuffles
+none. The selected trips are a local checkpoint filled by their first
+reader (Table III's pair counts, or the first community graph), not by
+a job of their own.
 """
 from __future__ import annotations
 
@@ -93,10 +97,7 @@ def run_pipeline(
 
     candidates = build_candidates(cleaned.locations, cleaned.stations)
     # Table II and Algorithm 1 read the candidate graph from one collected
-    # pair table, so its trips are not materialised. Its map (one row per
-    # location) is broadcast, so no rental is shuffled; the selected trips
-    # keep their shuffle joins, whose output partitioning the community
-    # stage reads.
+    # pair table, so its trips are not materialised.
     candidate_map = spark.createDataFrame(
         candidates.assignment[["location_id", "group_id"]],
         schema="location_id long, group_id string",
@@ -109,7 +110,9 @@ def run_pipeline(
         selection.final_assignment[["location_id", "station_group"]],
         schema="location_id long, group_id string",
     )
-    selected_trips = trips_with_groups(cleaned.rentals, final_map).localCheckpoint()
+    selected_trips = trips_with_groups(cleaned.rentals, F.broadcast(final_map)).localCheckpoint(
+        eager=False
+    )
 
     result = PipelineResult(
         data=data,

@@ -85,7 +85,9 @@ def table3(result: PipelineResult) -> pd.DataFrame:
 
     One Spark action collects the trips per directed station pair (at
     most a few thousand rows); the split is derived from it and from
-    Algorithm 1's station kinds on the driver."""
+    Algorithm 1's station kinds on the driver. Run after the pipeline,
+    that action is the selected trips' first reader, so it also fills
+    their local checkpoint."""
     pairs = pair_counts(result.selected_trips)
     kinds = result.selection.station_kinds.set_index("group_id")["is_new"]
     src_new = pairs["src_group"].map(kinds)

@@ -2,7 +2,7 @@
 reference, plus the Spark entry point's frame. Also checks that the frames
 built on the driver (these labels, ``louvain_groups``' assignment, the
 pipeline's location -> group maps and station kinds) are local
-relations."""
+relations, and that both maps are broadcast."""
 from __future__ import annotations
 
 import numpy as np
@@ -92,7 +92,9 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     ``LogicalRDD``, read through a forked Python worker. Checked: these
     labels, ``louvain_groups``' assignment, and the frames the pipeline
     hands Spark: the candidate and final location -> group maps (caught
-    on their way into ``trips_with_groups``) and the station kinds."""
+    on their way into ``trips_with_groups``) and the station kinds. Both
+    maps arrive with a broadcast hint, so resolving the rentals shuffles
+    none of them."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
     ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
     labels = connected_components(spark.range(1, 5), ids)
@@ -113,6 +115,10 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
         assert df.columns == ["location_id", "group_id"]
         assert df.count() == r.cleaned.clean_locations
     assert [_plan_leaf(df) for df in maps + [r.station_kinds]] == ["LocalRelation"] * 3
+    for df in maps:
+        plan = df._jdf.queryExecution().analyzed()
+        assert plan.nodeName() == "ResolvedHint"
+        assert plan.hints().strategy().get().toString() == "broadcast"
 
 
 def _plan_leaf(df):

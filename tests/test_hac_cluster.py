@@ -10,9 +10,10 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.geo import cell_size_deg, haversine_np, pairwise_haversine_np
-from repro.hac.cluster import build_candidates
+from repro.hac.cluster import build_candidates, preassign_pairs
 from repro.hac.linkage import complete_linkage_labels
 from repro.oracle import assert_equivalent
+from tests.test_builder import _count_nodes
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
@@ -241,6 +242,54 @@ def test_preassign_matches_sql_oracle(spark, preassign_scene):
         "group_id": a["group_id"].where(a["kind"] == "station", "free"),
     })
     assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
+
+
+@pytest.fixture(scope="module")
+def nearest_scene():
+    """Point 1 has station 8 at 20 m and station 2 at 40 m: the nearer
+    station (the larger id) must win. Point 2 lies halfway between
+    stations 6 and 4, 2**-12 degrees of longitude (~16 m) to either side
+    on its parallel; the coordinates are dyadic, so both distances are
+    equal to the last bit and the smaller id must win. Point 3 is 55 m
+    from station 2 and stays free. Returns (points, stations) as pandas."""
+    lat0, lon0, d = 53.25, -6.25, 2.0**-12
+    (lat1, lon1), (lat3, lon3) = _pt(0, 0), _pt(0, 95)
+    pts = pd.DataFrame(
+        {"location_id": [1, 2, 3], "lat": [lat1, lat0, lat3], "lon": [lon1, lon0, lon3]}
+    )
+    (lat8, lon8), (lat2, lon2) = _pt(20, 0), _pt(0, 40)
+    st = pd.DataFrame({
+        "station_id": [8, 2, 6, 4],
+        "lat": [lat8, lat2, lat0, lat0],
+        "lon": [lon8, lon2, lon0 + d, lon0 - d],
+    })
+    return pts, st
+
+
+def test_preassign_picks_nearest_then_smaller_id(spark, nearest_scene):
+    pts, st = nearest_scene
+    pairs = preassign_pairs(spark.createDataFrame(pts), st).toPandas()
+    in_range = pairs.dropna(subset=["station_id"]).groupby("location_id")
+    assert in_range["station_id"].apply(sorted).to_dict() == {1: [2, 8], 2: [4, 6]}
+    tie = pairs.loc[pairs["location_id"] == 2, "dist_m"]
+    assert tie.nunique() == 1 and 15 < tie.iloc[0] < 17
+    assert pairs.loc[pairs["location_id"] == 3, "dist_m"].isna().all()
+
+    res = build_candidates(spark.createDataFrame(pts), spark.createDataFrame(st))
+    a = res.assignment
+    kinds = dict(zip(a["location_id"], a["group_id"].where(a["kind"] == "station", "free")))
+    assert kinds == {1: "S8", 2: "S4", 3: "free"}
+    got = pd.DataFrame({"location_id": list(kinds), "group_id": list(kinds.values())})
+    assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
+
+
+def test_preassign_plan_has_no_aggregate(spark, nearest_scene):
+    """The 50 m test sits in the broadcast join's condition and the driver
+    picks each location's station: no aggregate, hence no shuffle."""
+    pts, st = nearest_scene
+    plan = preassign_pairs(spark.createDataFrame(pts), st)._jdf.queryExecution()
+    assert _count_nodes(plan.optimizedPlan(), "Aggregate") == 0
+    assert _count_nodes(plan.optimizedPlan(), "Join") == 1
 
 
 STATIONS_M = {3: (0.0, 0.0), 8: (1500.0, 200.0)}

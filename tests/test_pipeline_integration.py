@@ -3,7 +3,8 @@
 Nothing here checks the paper-scale shape (3/7/10 communities etc.): no
 test or benchmark runs SF=1, whose numbers are recorded in EXPERIMENTS.md
 from ``jobs/run_all.py``. These are the structural invariants that must
-hold at any scale.
+hold at any scale. One more test bounds the Spark jobs of the stages
+before the community stage.
 """
 from __future__ import annotations
 
@@ -12,9 +13,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro import tables
 from repro.graph.builder import GRANULARITIES, temporal_graph, trips_with_groups
 from repro.graph.components import component_labels
 from repro.louvain.reference import modularity_ref
+from repro.pipeline import run_pipeline
 
 
 def _station_graph(r, gran):
@@ -189,3 +192,28 @@ def test_finer_granularity_does_not_reduce_communities(pipeline_small):
     ks = {g: pipeline_small.communities[g].n_communities for g in GRANULARITIES}
     assert ks["hour"] >= ks["basic"]
     assert ks["day"] >= ks["basic"]
+
+
+#: Spark jobs of the stages before the community stage plus Table III's
+#: collect, as measured on the SF=0.05 data: 4 in cleaning, 7 in HAC, 4 in
+#: the trip joins and 2 in Table III's collect, which fills the selected
+#: trips' checkpoint.
+JOB_BUDGET = 17
+
+
+def test_stages_before_communities_job_budget(spark, moby_small):
+    """A query added to cleaning, HAC, Algorithm 1 or the trip joins
+    shows up here as a job over the budget."""
+    sc = spark.sparkContext
+    try:
+        sc.setJobGroup("test-job-budget", "run_pipeline + table3")
+        tables.table3(run_pipeline(spark, data=moby_small, granularities=()))
+        sc.setJobGroup("test-job-budget-probe", "one Spark job")
+        spark.range(3).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    assert tracker.getJobIdsForGroup("test-job-budget-probe")  # the tracker sees jobs
+    assert 0 < len(tracker.getJobIdsForGroup("test-job-budget")) <= JOB_BUDGET
