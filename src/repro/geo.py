@@ -1,23 +1,21 @@
 """Geospatial primitives shared by every stage of the pipeline.
 
 The paper (eq. 1) measures all distances with the Haversine formula on a
-spherical Earth. Two implementations are provided: a Spark ``Column``
-expression (used inside joins/aggregations so distance math stays in
-Catalyst) and a vectorised numpy version (used on the driver by the exact
-HAC and by Algorithm 1's distance rules and orphan reassignment, and in
-tests as an independent check).
+spherical Earth. :func:`haversine_np` is its vectorised numpy form, used
+on the driver by every HAC distance test (the 50 m station
+pre-assignment, the 100 m proximity graph and the 100 m linkage) and by
+Algorithm 1's distance rules and orphan reassignment.
 
-Also provided: a geo-grid bucketing scheme used to turn "within eps
-metres" into an equi-join on cell ids, the basis of HAC's 100 m
-proximity graph and of its 50 m station pre-assignment.
+Also provided: a geo-grid bucketing scheme that turns "all pairs within
+eps metres" into a sort and a lookup of each point's 3x3 neighbouring
+cells (:func:`eps_pairs`), the basis of HAC's 100 m proximity graph and of
+its 50 m station pre-assignment.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -27,20 +25,6 @@ M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 #: Reference latitude of the geo-grid: north of every Dublin location, so
 #: the longitude side of a cell is >= eps there.
 GRID_REF_LAT_DEG = 54.0
-
-
-def haversine_col(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
-    """Haversine distance in metres as a Spark SQL column expression (eq. 1).
-
-    ``d = 2R asin(sqrt(sin^2(dphi/2) + cos(phi1) cos(phi2) sin^2(dlambda/2)))``
-    """
-    phi1, phi2 = F.radians(lat1), F.radians(lat2)
-    dphi = F.radians(lat2 - lat1) / 2.0
-    dlmb = F.radians(lon2 - lon1) / 2.0
-    a = F.sin(dphi) ** 2 + F.cos(phi1) * F.cos(phi2) * F.sin(dlmb) ** 2
-    # Clamp for numerical noise at antipodal/identical points.
-    a = F.least(F.greatest(a, F.lit(0.0)), F.lit(1.0))
-    return 2.0 * EARTH_RADIUS_M * F.asin(F.sqrt(a))
 
 
 def haversine_np(
@@ -71,19 +55,63 @@ def cell_size_deg(eps_m: float) -> tuple[float, float]:
     return dlat, dlon
 
 
-def with_grid_cell(
-    df: DataFrame, *, lat_col: str = "lat", lon_col: str = "lon", eps_m: float
-) -> DataFrame:
-    """Attach integer grid coordinates ``cell_i``/``cell_j``.
+def grid_cells(
+    lat: np.ndarray, lon: np.ndarray, *, eps_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer grid coordinates ``(cell_i, cell_j)`` of each point.
 
     Cell side is >= eps in both axes (at latitudes up to
     :data:`GRID_REF_LAT_DEG`), so eps-neighbours are always in the same
-    cell or one of the 8 adjacent cells — the basis for the distributed
-    eps-proximity join in :mod:`repro.hac.proximity`.
+    cell or one of the 8 adjacent cells.
     """
     dlat, dlon = cell_size_deg(eps_m)
-    return df.withColumn(
-        "cell_i", F.floor(F.col(lat_col) / F.lit(dlat)).cast("long")
-    ).withColumn(
-        "cell_j", F.floor(F.col(lon_col) / F.lit(dlon)).cast("long")
+    return (
+        np.floor(np.asarray(lat) / dlat).astype(np.int64),
+        np.floor(np.asarray(lon) / dlon).astype(np.int64),
     )
+
+
+def _cell_key(cell_i: np.ndarray, cell_j: np.ndarray) -> np.ndarray:
+    """One int64 per cell, ordered as ``(cell_i, cell_j)`` (|cell_j| < 2**31)."""
+    return cell_i * 2**32 + cell_j
+
+
+def eps_pairs(
+    lat: np.ndarray, lon: np.ndarray, lat_b: np.ndarray | None = None,
+    lon_b: np.ndarray | None = None, *, eps_m: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of points within ``eps_m`` metres as ``(i, j, dist_m)``:
+    ``i`` indexes ``lat``/``lon``, ``j`` indexes ``lat_b``/``lon_b``. Without
+    the second point set the points are paired with themselves and each
+    unordered pair comes once, with ``i < j``.
+
+    A grid join: the second set is sorted by grid cell, and each point
+    meets the second set's points in the 3x3 cells around its own. Each of
+    the nine cell offsets is filtered by exact Haversine distance before
+    the next one is built, so only one offset's candidate pairs are held
+    at a time.
+    """
+    lat, lon = np.asarray(lat), np.asarray(lon)
+    same = lat_b is None
+    lat_b, lon_b = (lat, lon) if same else (np.asarray(lat_b), np.asarray(lon_b))
+    cell_i, cell_j = grid_cells(lat, lon, eps_m=eps_m)
+    key_b = _cell_key(*grid_cells(lat_b, lon_b, eps_m=eps_m))
+    order = np.argsort(key_b, kind="stable")
+    key_b = key_b[order]
+    found = []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            key = _cell_key(cell_i + di, cell_j + dj)
+            lo = np.searchsorted(key_b, key, "left")
+            n = np.searchsorted(key_b, key, "right") - lo
+            # point i's k-th candidate is order[lo[i] + k]
+            i = np.repeat(np.arange(len(key)), n)
+            j = order[np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)]
+            if same:
+                keep = i < j
+                i, j = i[keep], j[keep]
+            d = haversine_np(lat[i], lon[i], lat_b[j], lon_b[j])
+            near = d <= eps_m
+            found.append((i[near], j[near], d[near]))
+    i, j, d = (np.concatenate(c) for c in zip(*found))
+    return i, j, d

@@ -3,20 +3,20 @@
 The HAC stage needs the connected components of the 100 m proximity graph
 of the locations that are not near a station: a few thousand vertices in a
 few hundred small components, far too small to be a distributed workload.
-:func:`connected_components` collects the vertex ids and the edges once,
-labels them in numpy with :func:`component_labels` and hands the labels
-back as a local frame built from pandas through Arrow (a ``LocalRelation``,
-so no Python worker process is needed to read it).
+HAC builds that graph on the driver, so :func:`connected_components` takes
+its vertex ids and edges as numpy arrays, labels them with
+:func:`component_labels` and hands the labels to Spark as a local frame
+built from pandas through Arrow (a ``LocalRelation``, so no Python worker
+process is needed to read it).
 
-Edges are taken as undirected, so the input may be directed, e.g. the
-symmetric form of :func:`repro.graph.builder.temporal_graph`.
+Edges are taken as undirected, so they may be given in one direction or
+in both.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import StructField, StructType
+from pyspark.sql import DataFrame, SparkSession
 
 
 def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -43,19 +43,20 @@ def component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         label = new
 
 
-def connected_components(vertices: DataFrame, edges: DataFrame) -> DataFrame:
-    """Return ``(id, component)`` for every ``id`` of ``vertices``, isolated
+def connected_components(
+    spark: SparkSession, ids: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> DataFrame:
+    """Return ``(id, component)`` for every vertex id in ``ids``, isolated
     ones included, where ``component`` is the minimum vertex id in the
-    component. Every ``src``/``dst`` endpoint of ``edges`` must be a vertex."""
-    ids = np.unique(vertices.select("id").toPandas()["id"].to_numpy())
-    ends = edges.select("src", "dst").toPandas().to_numpy()
+    component. ``src[k] -- dst[k]`` are the edges, given as vertex ids;
+    every endpoint must be in ``ids``."""
+    ids = np.unique(ids)
+    ends = np.stack([np.asarray(src), np.asarray(dst)])
     if not np.isin(ends, ids).all():
         raise ValueError("every edge endpoint must be a vertex id")
-    src, dst = np.searchsorted(ids, ends).T
+    src, dst = np.searchsorted(ids, ends)
     # ids are sorted, so the smallest index of a component is its min id
     component = ids[component_labels(len(ids), src, dst)]
-    field = vertices.schema["id"]
-    schema = StructType([field, StructField("component", field.dataType, field.nullable)])
-    return vertices.sparkSession.createDataFrame(
-        pd.DataFrame({"id": ids, "component": component}), schema
+    return spark.createDataFrame(
+        pd.DataFrame({"id": ids, "component": component}), schema="id long, component long"
     )

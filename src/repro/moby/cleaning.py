@@ -39,7 +39,6 @@ class CleanResult:
 
     locations: DataFrame
     rentals: DataFrame
-    stations: DataFrame  # cleaned locations with is_station (id, lat, lon, station_id)
     raw_stations: int
     raw_rentals: int
     raw_locations: int
@@ -132,9 +131,6 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         eager=False
     )
 
-    stations = loc_clean.filter(F.col("is_station")).select(
-        "location_id", "lat", "lon", F.col("station_id").cast("long").alias("station_id")
-    )
     # the counts come in CleanResult's field order
     counts = _table1_counts((locations, rentals), (loc_clean, r))
-    return CleanResult(loc_clean, r, stations, *counts)
+    return CleanResult(loc_clean, r, *counts)

@@ -95,7 +95,7 @@ def run_pipeline(
     data = data or generate(spark, cfg or paper_config())
     cleaned = clean(data.locations, data.rentals)
 
-    candidates = build_candidates(cleaned.locations, cleaned.stations)
+    candidates = build_candidates(cleaned.locations)
     # Table II and Algorithm 1 read the candidate graph from one collected
     # pair table, so its trips are not materialised.
     candidate_map = spark.createDataFrame(

@@ -1,5 +1,5 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
-reference, plus the Spark entry point's frame. Also checks that the frames
+reference, plus the frame of the array entry point. Also checks that the frames
 built on the driver (these labels, ``louvain_groups``' assignment, the
 pipeline's location -> group maps and station kinds) are local
 relations, and that both maps are broadcast."""
@@ -61,29 +61,23 @@ def test_components_long_reverse_chain(spark):
     """A 200-vertex path whose ids fall along it: plain min-label
     propagation needs 199 rounds to carry label 0 to the far end."""
     n = 200
-    e = spark.createDataFrame(
-        [(i + 1, i, 1.0) for i in range(n - 1)], "src long, dst long, weight double"
-    )
-    got = {r["id"]: r["component"] for r in connected_components(spark.range(n), e).collect()}
+    comp = connected_components(spark, np.arange(n), np.arange(1, n), np.arange(n - 1))
+    got = {r["id"]: r["component"] for r in comp.collect()}
     assert got == {i: 0 for i in range(n)}
 
 
 def test_components_singletons(spark):
     """Every vertex comes back as ``(id, component)``, isolated ones and
     self-loops included."""
-    v = spark.createDataFrame([(i,) for i in range(5)], "id long")
-    e = spark.createDataFrame([(0, 0, 1.0), (4, 2, 1.0)], "src long, dst long, weight double")
-    comp = connected_components(v, e)
+    comp = connected_components(spark, np.arange(5), np.array([0, 4]), np.array([0, 2]))
     assert comp.columns == ["id", "component"]
     got = {r["id"]: r["component"] for r in comp.collect()}
     assert got == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2}
 
 
 def test_components_rejects_edge_to_unknown_vertex(spark):
-    v = spark.createDataFrame([(i,) for i in range(3)], "id long")
-    e = spark.createDataFrame([(0, 7, 1.0)], "src long, dst long, weight double")
     with pytest.raises(ValueError, match="vertex id"):
-        connected_components(v, e)
+        connected_components(spark, np.arange(3), np.array([0]), np.array([7]))
 
 
 def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
@@ -96,8 +90,9 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     maps arrive with a broadcast hint, so resolving the rentals shuffles
     none of them."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
-    ids = spark.createDataFrame(e.assign(src=[1, 2, 3, 4], dst=[2, 1, 4, 3]))
-    labels = connected_components(spark.range(1, 5), ids)
+    labels = connected_components(
+        spark, np.arange(1, 5), np.array([1, 2, 3, 4]), np.array([2, 1, 4, 3])
+    )
     for df in (labels, louvain_groups(spark.createDataFrame(e))[0]):
         assert df.count() == 4
         assert _plan_leaf(df) == "LocalRelation"

@@ -1,22 +1,26 @@
 """End-to-end HAC candidate construction on constructed geometries:
 50 m pre-assignment (against a DuckDB oracle and a numpy brute force),
 eps-component decomposition, exact per-component complete linkage,
-centroid computation; a seeded blob scene against a brute-force oracle."""
+centroid computation; a seeded blob scene against a brute-force oracle;
+the Spark jobs the stage starts and the component frame it hands on."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.geo import cell_size_deg, haversine_np, pairwise_haversine_np
-from repro.hac.cluster import build_candidates, preassign_pairs
+from repro.geo import cell_size_deg, eps_pairs, haversine_np, pairwise_haversine_np
+from repro.hac import cluster
+from repro.hac.cluster import PRE_ASSIGN_M, build_candidates
 from repro.hac.linkage import complete_linkage_labels
 from repro.oracle import assert_equivalent
-from tests.test_builder import _count_nodes
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
+#: Location id of station s in the scenes below: STATION_LOC + s.
+STATION_LOC = 10_000
 
 
 def _pt(dx_m, dy_m):
@@ -26,36 +30,56 @@ def _pt(dx_m, dy_m):
     )
 
 
+def _with_stations(pts: pd.DataFrame, st: pd.DataFrame) -> pd.DataFrame:
+    """The cleaned-locations layout ``build_candidates`` reads: the points
+    (location_id, lat, lon), then one row per station (station_id, lat,
+    lon) at location id ``STATION_LOC + station_id``, flagged
+    ``is_station``."""
+    return pd.concat(
+        [
+            pts.assign(is_station=False, station_id=pd.NA),
+            st.assign(location_id=STATION_LOC + st["station_id"], is_station=True),
+        ],
+        ignore_index=True,
+    )[["location_id", "lat", "lon", "is_station", "station_id"]].astype(
+        {"station_id": "Int64"}
+    )
+
+
+def _locations(spark, pts: pd.DataFrame, st: pd.DataFrame) -> DataFrame:
+    return spark.createDataFrame(
+        _with_stations(pts, st),
+        schema="location_id long, lat double, lon double, is_station boolean, station_id long",
+    )
+
+
 @pytest.fixture()
 def scene(spark):
     """One station; one location 30 m from it (pre-assigned); a tight
     cloud of 3 points ~40 m across 500 m away (one candidate cluster);
     two points 150 m apart in the same eps-component? No — 150 m > 100 m
-    so they are separate components and separate clusters."""
+    so they are separate components and separate clusters. The station's
+    own location row is ``STATION_LOC + 7``."""
     station = _pt(0, 0)
     near_station = _pt(30, 0)
     cloud = [_pt(500, 0), _pt(520, 0), _pt(510, 25)]
     pair = [_pt(-600, 0), _pt(-750, 0)]
     pts = [near_station] + cloud + pair
-    locations = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "location_id": range(1, len(pts) + 1),
-                "lat": [p[0] for p in pts],
-                "lon": [p[1] for p in pts],
-            }
-        )
+    pts = pd.DataFrame(
+        {
+            "location_id": range(1, len(pts) + 1),
+            "lat": [p[0] for p in pts],
+            "lon": [p[1] for p in pts],
+        }
     )
-    stations = spark.createDataFrame(
-        pd.DataFrame({"station_id": [7], "lat": [station[0]], "lon": [station[1]]})
-    )
-    return locations, stations
+    st = pd.DataFrame({"station_id": [7], "lat": [station[0]], "lon": [station[1]]})
+    return _locations(spark, pts, st)
 
 
 def test_preassignment_and_clusters(scene):
-    locations, stations = scene
-    res = build_candidates(locations, stations)
+    res = build_candidates(scene)
     a = {r.location_id: (r.group_id, r.kind) for r in res.assignment.itertuples()}
+    assert a[STATION_LOC + 7] == ("S7", "station")  # the station itself
     assert a[1] == ("S7", "station")  # within 50 m of the station
     # the 3-point cloud is one candidate cluster
     assert a[2][1] == "candidate"
@@ -68,15 +92,13 @@ def test_preassignment_and_clusters(scene):
 
 
 def test_every_location_assigned_exactly_once(scene):
-    locations, stations = scene
-    res = build_candidates(locations, stations)
-    assert len(res.assignment) == locations.count()
+    res = build_candidates(scene)
+    assert len(res.assignment) == scene.count()
     assert res.assignment["location_id"].is_unique
 
 
 def test_groups_table_contents(scene):
-    locations, stations = scene
-    res = build_candidates(locations, stations)
+    res = build_candidates(scene)
     groups = res.groups
     kinds = dict(zip(groups["group_id"], groups["kind"]))
     assert kinds["S7"] == "station"
@@ -96,17 +118,14 @@ def tight_cloud(spark):
     rng = np.random.default_rng(8)
     lat, lon = _pt(500 + rng.uniform(-14, 14, 12), rng.uniform(-14, 14, 12))
     pdf = pd.DataFrame({"location_id": np.arange(12, 0, -1) * 5, "lat": lat, "lon": lon})
-    stations = spark.createDataFrame(
-        pd.DataFrame({"station_id": [7], "lat": [LAT0], "lon": [LON0]})
-    )
-    return pdf, stations
+    return pdf, pd.DataFrame({"station_id": [7], "lat": [LAT0], "lon": [LON0]})
 
 
 def test_candidate_centroid_is_member_mean(spark, tight_cloud):
     """The centroid is the sum of the member coordinates in location-id
     order divided by the count, to the last bit."""
-    pdf, stations = tight_cloud
-    res = build_candidates(spark.createDataFrame(pdf), stations)
+    pdf, st = tight_cloud
+    res = build_candidates(_locations(spark, pdf, st))
     (row,) = res.groups[res.groups["kind"] == "candidate"].to_dict("records")
     members = pdf.sort_values("location_id")
     for col in ("lat", "lon"):
@@ -122,7 +141,7 @@ def test_candidate_centroid_is_member_mean(spark, tight_cloud):
 def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
     """Paper Rule 1 on real generated data: no two members of any
     candidate cluster are more than 100 m apart."""
-    res = build_candidates(cleaned_small.locations, cleaned_small.stations)
+    res = build_candidates(cleaned_small.locations)
     a = res.assignment
     pdf = a.loc[a["kind"] == "candidate", ["location_id", "group_id"]].merge(
         cleaned_small.locations.select("location_id", "lat", "lon").toPandas(), on="location_id"
@@ -140,7 +159,7 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
     """Against a numpy brute force over all stations: every location
     within 50 m of a station is assigned to the nearest one (ties to the
     smaller id), and every other location is a candidate."""
-    res = build_candidates(cleaned_small.locations, cleaned_small.stations)
+    res = build_candidates(cleaned_small.locations)
     got = res.assignment.merge(
         cleaned_small.locations.select("location_id", "lat", "lon").toPandas(),
         on="location_id", suffixes=("_got", ""),
@@ -148,7 +167,10 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
     # one row per cleaned location, carrying that location's coordinates
     assert len(got) == len(res.assignment) == cleaned_small.clean_locations
     assert (got.lat_got == got.lat).all() and (got.lon_got == got.lon).all()
-    st = cleaned_small.stations.toPandas().sort_values("station_id", ignore_index=True)
+    st = (
+        cleaned_small.locations.filter("is_station").toPandas()
+        .astype({"station_id": "int64"}).sort_values("station_id", ignore_index=True)
+    )
     d = haversine_np(
         got.lat.to_numpy()[:, None], got.lon.to_numpy()[:, None],
         st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
@@ -162,22 +184,21 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
 
 
 def test_build_candidates_requires_a_station(scene):
-    locations, stations = scene
-    with pytest.raises(ValueError, match="stations"):
-        build_candidates(locations, stations.limit(0))
+    with pytest.raises(ValueError, match="station"):
+        build_candidates(scene.filter(~F.col("is_station")))
 
 
 def test_every_location_near_a_station(scene):
     """No free point: the candidate side is empty and ``groups`` holds
     only the stations."""
-    locations, stations = scene
-    res = build_candidates(locations.filter(F.col("location_id") == 1), stations)
+    res = build_candidates(scene.filter(F.col("location_id").isin(1, STATION_LOC + 7)))
     assert res.assignment.dtypes.astype(str).to_dict() == {
         "location_id": "int64", "group_id": "object", "kind": "object",
         "lat": "float64", "lon": "float64",
     }
     assert list(res.assignment.itertuples(index=False, name=None)) == [
-        (1, "S7", "station", *_pt(30, 0))
+        (1, "S7", "station", *_pt(30, 0)),
+        (STATION_LOC + 7, "S7", "station", LAT0, LON0),
     ]
     assert list(res.groups.itertuples(index=False, name=None)) == [
         ("S7", "station", LAT0, LON0, 7)
@@ -235,13 +256,13 @@ def test_preassign_matches_sql_oracle(spark, preassign_scene):
     assert 49.8 < boundary[0] < 50.0 < boundary[1] < 50.2
     assert (assigned & np.isin(st.station_id.to_numpy()[nearest], [12, 5])).sum() > 10
 
-    res = build_candidates(spark.createDataFrame(pts), spark.createDataFrame(st))
+    res = build_candidates(_locations(spark, pts, st))
     a = res.assignment
     got = pd.DataFrame({
         "location_id": a["location_id"],
         "group_id": a["group_id"].where(a["kind"] == "station", "free"),
     })
-    assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
+    assert_equivalent(got, PREASSIGN_SQL, pts=_with_stations(pts, st), st=st)
 
 
 @pytest.fixture(scope="module")
@@ -268,28 +289,28 @@ def nearest_scene():
 
 def test_preassign_picks_nearest_then_smaller_id(spark, nearest_scene):
     pts, st = nearest_scene
-    pairs = preassign_pairs(spark.createDataFrame(pts), st).toPandas()
-    in_range = pairs.dropna(subset=["station_id"]).groupby("location_id")
+    i, j, dist = eps_pairs(
+        pts.lat.to_numpy(), pts.lon.to_numpy(), st.lat.to_numpy(), st.lon.to_numpy(),
+        eps_m=PRE_ASSIGN_M,
+    )
+    pairs = pd.DataFrame({
+        "location_id": pts.location_id.to_numpy()[i],
+        "station_id": st.station_id.to_numpy()[j],
+        "dist_m": dist,
+    })
+    in_range = pairs.groupby("location_id")
     assert in_range["station_id"].apply(sorted).to_dict() == {1: [2, 8], 2: [4, 6]}
     tie = pairs.loc[pairs["location_id"] == 2, "dist_m"]
     assert tie.nunique() == 1 and 15 < tie.iloc[0] < 17
-    assert pairs.loc[pairs["location_id"] == 3, "dist_m"].isna().all()
 
-    res = build_candidates(spark.createDataFrame(pts), spark.createDataFrame(st))
+    res = build_candidates(_locations(spark, pts, st))
     a = res.assignment
     kinds = dict(zip(a["location_id"], a["group_id"].where(a["kind"] == "station", "free")))
-    assert kinds == {1: "S8", 2: "S4", 3: "free"}
+    assert kinds == {
+        1: "S8", 2: "S4", 3: "free", **{STATION_LOC + s: f"S{s}" for s in st.station_id}
+    }
     got = pd.DataFrame({"location_id": list(kinds), "group_id": list(kinds.values())})
-    assert_equivalent(got, PREASSIGN_SQL, pts=pts, st=st)
-
-
-def test_preassign_plan_has_no_aggregate(spark, nearest_scene):
-    """The 50 m test sits in the broadcast join's condition and the driver
-    picks each location's station: no aggregate, hence no shuffle."""
-    pts, st = nearest_scene
-    plan = preassign_pairs(spark.createDataFrame(pts), st)._jdf.queryExecution()
-    assert _count_nodes(plan.optimizedPlan(), "Aggregate") == 0
-    assert _count_nodes(plan.optimizedPlan(), "Join") == 1
+    assert_equivalent(got, PREASSIGN_SQL, pts=_with_stations(pts, st), st=st)
 
 
 STATIONS_M = {3: (0.0, 0.0), 8: (1500.0, 200.0)}
@@ -312,16 +333,15 @@ def blobs():
     return pd.DataFrame({"location_id": ids, "lat": lat, "lon": lon})
 
 
-def _stations(spark):
+def _stations():
     lat, lon = zip(*(_pt(x, y) for x, y in STATIONS_M.values()))
-    return spark.createDataFrame(
-        pd.DataFrame({"station_id": list(STATIONS_M), "lat": lat, "lon": lon})
-    )
+    return pd.DataFrame({"station_id": list(STATIONS_M), "lat": lat, "lon": lon})
 
 
 def _candidates(spark, pdf):
-    res = build_candidates(spark.createDataFrame(pdf), _stations(spark))
-    rows = res.assignment[["location_id", "group_id", "kind"]]
+    """The assignment of ``pdf``'s points; the station rows are left out."""
+    a = build_candidates(_locations(spark, pdf, _stations())).assignment
+    rows = a.loc[a["location_id"].isin(pdf["location_id"]), ["location_id", "group_id", "kind"]]
     return sorted(rows.itertuples(index=False, name=None))
 
 
@@ -387,3 +407,45 @@ def test_candidates_independent_of_row_order_and_partitions(spark, blobs):
             assert _candidates(spark, shuffled) == want
     finally:
         spark.conf.set(key, old)
+
+
+def test_build_candidates_job_budget(spark, cleaned_small):
+    """One collect of the cleaned locations and one read of the component
+    labels: both grid joins and the component labelling run on the
+    driver."""
+    sc = spark.sparkContext
+    try:
+        sc.setJobGroup("test-build-candidates", "build_candidates")
+        res = build_candidates(cleaned_small.locations)
+        sc.setJobGroup("test-build-candidates-probe", "one Spark job")
+        spark.range(3).collect()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    tracker = sc.statusTracker()
+    assert tracker.getJobIdsForGroup("test-build-candidates-probe")  # the tracker sees jobs
+    assert 0 < len(tracker.getJobIdsForGroup("test-build-candidates")) <= 2
+    assert len(res.assignment) == cleaned_small.clean_locations
+
+
+def test_component_frame_counts_the_free_points(spark, cleaned_small, monkeypatch):
+    """The traced benchmark keeps the return of
+    ``repro.hac.cluster.connected_components`` and counts the free points
+    and the eps-components from it with ``groupBy("component")``: one call
+    per run, an ``(id, component)`` Spark frame over exactly the locations
+    that become candidates."""
+    calls = []
+    original = cluster.connected_components
+
+    def spy(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cluster, "connected_components", spy)
+    res = build_candidates(cleaned_small.locations)
+    (comp,) = calls
+    assert isinstance(comp, DataFrame) and comp.columns == ["id", "component"]
+    sizes = [r["count"] for r in comp.groupBy("component").count().collect()]
+    assert sum(sizes) == (res.assignment["kind"] == "candidate").sum() > 0
+    assert len(sizes) > 1

@@ -96,7 +96,7 @@ def test_selected_are_far_from_stations_and_each_other(pipeline_small):
 
     r = pipeline_small
     sel = r.selection.selected
-    st = r.cleaned.stations.toPandas()
+    st = r.cleaned.locations.filter("is_station").toPandas()
     if len(sel) == 0:
         pytest.skip("no stations selected at this scale")
     d_st = haversine_np(
@@ -195,10 +195,10 @@ def test_finer_granularity_does_not_reduce_communities(pipeline_small):
 
 
 #: Spark jobs of the stages before the community stage plus Table III's
-#: collect, as measured on the SF=0.05 data: 4 in cleaning, 7 in HAC, 4 in
+#: collect, as measured on the SF=0.05 data: 4 in cleaning, 2 in HAC, 4 in
 #: the trip joins and 2 in Table III's collect, which fills the selected
 #: trips' checkpoint.
-JOB_BUDGET = 17
+JOB_BUDGET = 12
 
 
 def test_stages_before_communities_job_budget(spark, moby_small):
