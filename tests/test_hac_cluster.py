@@ -16,6 +16,7 @@ from repro.hac import cluster
 from repro.hac.cluster import PRE_ASSIGN_M, build_candidates
 from repro.hac.linkage import complete_linkage_labels
 from repro.oracle import assert_equivalent
+from tests.test_builder import _count_nodes
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
@@ -311,6 +312,31 @@ def test_preassign_picks_nearest_then_smaller_id(spark, nearest_scene):
     }
     got = pd.DataFrame({"location_id": list(kinds), "group_id": list(kinds.values())})
     assert_equivalent(got, PREASSIGN_SQL, pts=_with_stations(pts, st), st=st)
+
+
+def test_preassign_plan_has_no_aggregate(spark, nearest_scene, monkeypatch):
+    """The 50 m pairs come from the grid join on the driver, which also
+    picks each location's station: every plan ``build_candidates`` hands
+    Spark is a plain read, with no aggregate and no join, hence no
+    shuffle."""
+    pts, st = nearest_scene
+    locations = _locations(spark, pts, st)
+    plans = []
+    original = type(locations).toPandas
+
+    def spy(df):
+        plans.append(df._jdf.queryExecution().optimizedPlan())
+        return original(df)
+
+    monkeypatch.setattr(type(locations), "toPandas", spy)
+    res = build_candidates(locations)
+    monkeypatch.undo()
+    assert plans
+    for plan in plans:
+        assert _count_nodes(plan, "Aggregate") == 0
+        assert _count_nodes(plan, "Join") == 0
+    kinds = dict(zip(res.assignment["location_id"], res.assignment["group_id"]))
+    assert (kinds[1], kinds[2]) == ("S8", "S4")
 
 
 STATIONS_M = {3: (0.0, 0.0), 8: (1500.0, 200.0)}
