@@ -4,8 +4,8 @@
   attaches the temporal features (ISO day-of-week 1..7, start hour 0..23).
 - :func:`pair_counts` collects the trips per directed group pair, the
   small driver-side table (one row per group pair: 14k rows for the
-  candidate graph at SF=1) that Table II, Algorithm 1's degrees and Table
-  III read.
+  candidate graph at SF=1) that Table II and Algorithm 1's degrees read,
+  and for the selected graph Tables III-VI.
 - :func:`graph_stats` computes the Table II measures from that table.
 - :func:`temporal_graph` aggregates trips into a weighted station graph,
   in symmetric form, at one of the paper's three granularities:

@@ -10,11 +10,11 @@ HAC and Algorithm 1 hand their tables to each other as pandas, on the
 driver. Spark receives only the frames a Spark join reads, each built
 here from pandas through Arrow with an explicit schema: the candidate
 and the final ``(location_id, group_id)`` maps that resolve the rentals
-to groups, and the station kinds the community tables join. Both maps
-(one row per location) are broadcast, so resolving the rentals shuffles
-none. The selected trips are a local checkpoint filled by their first
-reader (Table III's pair counts, or the first community graph), not by
-a job of their own.
+to groups. Both maps (one row per location) are broadcast, so resolving
+the rentals shuffles none. The selected trips are a local checkpoint
+filled by their first reader, the collect of their pair counts here, not
+by a job of their own. Table III and the community tables (IV-VI) are
+computed on the driver from those pair counts.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ class CommunityRun:
     modularity: float
     n_communities: int
     intra_share: float
-    table: DataFrame  # Tables IV/V/VI layout
+    table: pd.DataFrame  # Tables IV/V/VI layout
 
 
 @dataclass
@@ -61,7 +61,7 @@ class PipelineResult:
     candidate_stats: GraphStats
     selection: SelectionResult
     selected_trips: DataFrame
-    station_kinds: DataFrame  # (group_id, is_new)
+    selected_pairs: pd.DataFrame  # (src_group, dst_group, count)
     communities: dict = field(default_factory=dict)  # granularity -> CommunityRun
 
 
@@ -122,9 +122,7 @@ def run_pipeline(
         candidate_stats=candidate_stats,
         selection=selection,
         selected_trips=selected_trips,
-        station_kinds=spark.createDataFrame(
-            selection.station_kinds, schema="group_id string, is_new boolean"
-        ),
+        selected_pairs=pair_counts(selected_trips),
     )
     for gran in granularities:
         result.communities[gran] = run_communities(result, gran)
@@ -133,13 +131,13 @@ def run_pipeline(
 
 def run_communities(result: PipelineResult, granularity: str) -> CommunityRun:
     """Louvain + community table for one temporal granularity of the
-    selected graph."""
+    selected graph. Only the station graph's edge collect runs on Spark:
+    the labels are read back from the local assignment frame without a
+    job, and the community table is computed on the driver."""
     g = temporal_graph(result.selected_trips, granularity)
     assignment, res = louvain_groups(g.edges)
-    assignment = assignment.cache()
-    table = community_table(
-        assignment, result.station_kinds, result.selected_trips
-    ).cache()
+    labels = pd.DataFrame(assignment.collect(), columns=assignment.columns)
+    table = community_table(labels, result.selection.station_kinds, result.selected_pairs)
     return CommunityRun(
         granularity=granularity,
         assignment=assignment,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.graph.builder import pair_counts
 from repro.pipeline import PipelineResult
 
 #: The paper's reported values, used by EXPERIMENTS.md and asserted
@@ -83,12 +82,10 @@ def table3(result: PipelineResult) -> pd.DataFrame:
     pre-existing vs newly selected stations (From = by source station
     kind, To = by destination kind).
 
-    One Spark action collects the trips per directed station pair (at
-    most a few thousand rows); the split is derived from it and from
-    Algorithm 1's station kinds on the driver. Run after the pipeline,
-    that action is the selected trips' first reader, so it also fills
-    their local checkpoint."""
-    pairs = pair_counts(result.selected_trips)
+    The split is derived on the driver from the trips per directed
+    station pair that ``run_pipeline`` collected (at most a few thousand
+    rows) and from Algorithm 1's station kinds; no Spark job runs."""
+    pairs = result.selected_pairs
     kinds = result.selection.station_kinds.set_index("group_id")["is_new"]
     src_new = pairs["src_group"].map(kinds)
     dst_new = pairs["dst_group"].map(kinds)
@@ -108,10 +105,8 @@ def table3(result: PipelineResult) -> pd.DataFrame:
 
 
 def _community_pdf(result: PipelineResult, granularity: str) -> pd.DataFrame:
-    run = result.communities[granularity]
-    pdf = run.table.toPandas().sort_values("community").reset_index(drop=True)
-    pdf["community"] = pdf["community"].astype(int) + 1  # paper ids are 1-based
-    return pdf
+    table = result.communities[granularity].table
+    return table.assign(community=table["community"] + 1)  # paper ids are 1-based
 
 
 def table4(result: PipelineResult) -> pd.DataFrame:

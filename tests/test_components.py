@@ -1,8 +1,8 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
 reference, plus the frame of the array entry point. Also checks that the frames
-built on the driver (these labels, ``louvain_groups``' assignment, the
-pipeline's location -> group maps and station kinds) are local
-relations, and that both maps are broadcast."""
+built on the driver (these labels, ``louvain_groups``' assignment and the
+pipeline's location -> group maps) are local relations, and that both
+maps are broadcast."""
 from __future__ import annotations
 
 import numpy as np
@@ -86,9 +86,8 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     ``LogicalRDD``, read through a forked Python worker. Checked: these
     labels, ``louvain_groups``' assignment, and the frames the pipeline
     hands Spark: the candidate and final location -> group maps (caught
-    on their way into ``trips_with_groups``) and the station kinds. Both
-    maps arrive with a broadcast hint, so resolving the rentals shuffles
-    none of them."""
+    on their way into ``trips_with_groups``). Both maps arrive with a
+    broadcast hint, so resolving the rentals shuffles none of them."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
     labels = connected_components(
         spark, np.arange(1, 5), np.array([1, 2, 3, 4]), np.array([2, 1, 4, 3])
@@ -109,7 +108,7 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     for df in maps:
         assert df.columns == ["location_id", "group_id"]
         assert df.count() == r.cleaned.clean_locations
-    assert [_plan_leaf(df) for df in maps + [r.station_kinds]] == ["LocalRelation"] * 3
+    assert [_plan_leaf(df) for df in maps] == ["LocalRelation"] * 2
     for df in maps:
         plan = df._jdf.queryExecution().analyzed()
         assert plan.nodeName() == "ResolvedHint"

@@ -3,13 +3,12 @@
 Nothing here checks the paper-scale shape (3/7/10 communities etc.): no
 test or benchmark runs SF=1, whose numbers are recorded in EXPERIMENTS.md
 from ``jobs/run_all.py``. These are the structural invariants that must
-hold at any scale. One more test bounds the Spark jobs of the stages
-before the community stage.
+hold at any scale. Two more tests bound the Spark jobs of the stages
+before the community stage and of the community stage.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -17,7 +16,7 @@ from repro import tables
 from repro.graph.builder import GRANULARITIES, temporal_graph, trips_with_groups
 from repro.graph.components import component_labels
 from repro.louvain.reference import modularity_ref
-from repro.pipeline import run_pipeline
+from repro.pipeline import run_communities, run_pipeline
 
 
 def _station_graph(r, gran):
@@ -37,6 +36,7 @@ def test_trips_conserved_through_every_stage(pipeline_small):
     n = r.cleaned.clean_rentals
     assert r.candidate_stats.n_trips == n
     assert r.selected_trips.count() == n
+    assert r.selected_pairs["count"].sum() == n
 
 
 def test_candidate_stats_internal_consistency(pipeline_small):
@@ -121,9 +121,7 @@ def test_final_assignment_covers_all_locations_once(pipeline_small):
 
 def test_final_stations_are_old_plus_selected(pipeline_small):
     r = pipeline_small
-    kinds = r.station_kinds.toPandas()
-    # the Spark frame the community tables join is Algorithm 1's table
-    pd.testing.assert_frame_equal(kinds, r.selection.station_kinds)
+    kinds = r.selection.station_kinds
     assert (~kinds.is_new).sum() <= 92  # a station with no trips never appears
     assert kinds.is_new.sum() <= r.selection.n_selected
     assert kinds.group_id.is_unique
@@ -135,7 +133,7 @@ def test_community_run_invariants(pipeline_small, gran):
     assert -1.0 <= run.modularity <= 1.0
     assert run.n_communities >= 1
     assert 0.0 <= run.intra_share <= 1.0
-    pdf = run.table.toPandas()
+    pdf = run.table
     assert (pdf.old_stations + pdf.new_stations == pdf.total_stations).all()
     assert (pdf.trips_within + pdf.trips_out + pdf.trips_in == pdf.trips_total).all()
     assert pdf.trips_out.sum() == pdf.trips_in.sum()
@@ -172,16 +170,13 @@ def test_every_community_is_connected(pipeline_small, gran):
 
 @pytest.mark.parametrize("gran", GRANULARITIES)
 def test_assignment_covers_every_active_station(pipeline_small, gran):
-    run = pipeline_small.communities[gran]
-    missing = pipeline_small.station_kinds.join(
-        run.assignment, "group_id", "left_anti"
-    )
-    assert missing.count() == 0
+    assigned = {a["group_id"] for a in pipeline_small.communities[gran].assignment.collect()}
+    assert set(pipeline_small.selection.station_kinds["group_id"]) <= assigned
 
 
 def test_intra_share_matches_table(pipeline_small):
     run = pipeline_small.communities["basic"]
-    pdf = run.table.toPandas()
+    pdf = run.table
     total = pdf.trips_within.sum() + pdf.trips_out.sum()
     assert run.intra_share == pytest.approx(pdf.trips_within.sum() / total)
 
@@ -194,26 +189,65 @@ def test_finer_granularity_does_not_reduce_communities(pipeline_small):
     assert ks["day"] >= ks["basic"]
 
 
-#: Spark jobs of the stages before the community stage plus Table III's
-#: collect, as measured on the SF=0.05 data: 4 in cleaning, 2 in HAC, 4 in
-#: the trip joins and 2 in Table III's collect, which fills the selected
-#: trips' checkpoint.
-JOB_BUDGET = 12
-
-
-def test_stages_before_communities_job_budget(spark, moby_small):
-    """A query added to cleaning, HAC, Algorithm 1 or the trip joins
-    shows up here as a job over the budget."""
+def _count_jobs(spark, prefix: str, steps: dict) -> dict:
+    """Run each ``name -> fn`` of ``steps`` in a Spark job group of its own
+    (ids ``prefix-name``, unique per test) and return the number of jobs
+    each started. A probe group with one job shows that the status tracker
+    sees jobs at all."""
     sc = spark.sparkContext
+    steps = {**steps, "probe": lambda: spark.range(3).collect()}
     try:
-        sc.setJobGroup("test-job-budget", "run_pipeline + table3")
-        tables.table3(run_pipeline(spark, data=moby_small, granularities=()))
-        sc.setJobGroup("test-job-budget-probe", "one Spark job")
-        spark.range(3).collect()
+        for name, fn in steps.items():
+            sc.setJobGroup(f"{prefix}-{name}", name)
+            fn()
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()
     tracker = sc.statusTracker()
-    assert tracker.getJobIdsForGroup("test-job-budget-probe")  # the tracker sees jobs
-    assert 0 < len(tracker.getJobIdsForGroup("test-job-budget")) <= JOB_BUDGET
+    jobs = {name: len(tracker.getJobIdsForGroup(f"{prefix}-{name}")) for name in steps}
+    assert jobs.pop("probe")  # the tracker sees jobs
+    return jobs
+
+
+#: Spark jobs of the stages before the community stage, as measured on the
+#: SF=0.05 data: 4 in cleaning, 2 in HAC, 4 in the trip joins and 2 in the
+#: collect of the selected trips' pair counts, which fills their
+#: checkpoint. Table III reads those pair counts and runs none.
+JOB_BUDGET = 12
+
+#: Spark jobs of one granularity's community stage on the SF=0.05 data:
+#: the 3 of the station graph's edge collect. Louvain, Tables IV-VI and the
+#: headline run on the driver.
+COMMUNITY_JOB_BUDGET = 3
+
+
+def test_stages_before_communities_job_budget(spark, moby_small):
+    """A query added to cleaning, HAC, Algorithm 1 or the trip joins
+    shows up here as a job over the budget."""
+    jobs = _count_jobs(spark, "test-job-budget", {
+        "prefix": lambda: tables.table3(run_pipeline(spark, data=moby_small, granularities=())),
+    })
+    assert 0 < jobs["prefix"] <= JOB_BUDGET
+
+
+def test_community_stage_job_budget(spark, moby_small):
+    """After the stages before it, each granularity's ``run_communities``
+    with its community table and the headline starts at most the edge
+    collect's jobs, and Table III starts none: a Spark query added to the
+    community tables shows up here."""
+    r = run_pipeline(spark, data=moby_small, granularities=())
+    table_of = {"basic": tables.table4, "day": tables.table5, "hour": tables.table6}
+
+    def community_stage(gran):
+        r.communities[gran] = run_communities(r, gran)
+        table_of[gran](r)
+        tables.headline(r)
+
+    jobs = _count_jobs(spark, "test-community-job-budget", {
+        "table3": lambda: tables.table3(r),
+        **{g: (lambda g=g: community_stage(g)) for g in GRANULARITIES},
+    })
+    assert jobs["table3"] == 0
+    for g in GRANULARITIES:
+        assert 0 < jobs[g] <= COMMUNITY_JOB_BUDGET, (g, jobs)

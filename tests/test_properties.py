@@ -1,18 +1,23 @@
 """Property-based tests (hypothesis) for the pure-numpy substrates:
 Haversine metric axioms, integer allocation, complete-linkage invariants,
-suppression invariants and reference-modularity bounds. These run without
-Spark, so they are cheap enough for many examples."""
+suppression invariants, reference-modularity bounds and the community
+tables' sums over pair counts. These run without Spark, so they are cheap
+enough for many examples."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.communities import community_table, intra_community_share
 from repro.geo import haversine_np, pairwise_haversine_np
 from repro.hac.linkage import complete_linkage_labels
 from repro.louvain.reference import louvain_ref, modularity_ref
 from repro.moby.generator import _largest_remainder
+from repro.oracle import assert_equivalent
+from tests.test_analysis import COMMUNITY_SQL
 
 lat_st = st.floats(min_value=-89.0, max_value=89.0)
 lon_st = st.floats(min_value=-180.0, max_value=180.0)
@@ -124,3 +129,39 @@ def test_suppress_result_is_independent_set(seed):
         )
         np.fill_diagonal(d, np.inf)
         assert (d >= 250.0).all()
+
+
+GROUP_IDS = [f"G{i}" for i in range(6)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(GROUP_IDS), st.sampled_from(GROUP_IDS)),  # loops included
+        st.integers(min_value=1, max_value=20),
+        min_size=1,
+        max_size=25,
+    ),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_community_table_sums_pair_counts(counts, communities, is_new):
+    pairs = pd.DataFrame(
+        [(s, d, n) for (s, d), n in counts.items()], columns=["src_group", "dst_group", "count"]
+    )
+    labels = pd.DataFrame({"group_id": GROUP_IDS, "community": communities})
+    kinds = pd.DataFrame({"group_id": GROUP_IDS, "is_new": is_new})
+    table = community_table(labels, kinds, pairs)
+    # the oracle counts trip rows: one per trip of each pair
+    trips = pairs.loc[pairs.index.repeat(pairs["count"]), ["src_group", "dst_group"]]
+    assert_equivalent(
+        table[["community", "trips_within", "trips_out", "trips_in"]],
+        COMMUNITY_SQL, trips=trips, assign=labels,
+    )
+    within, out, n = table["trips_within"].sum(), table["trips_out"].sum(), pairs["count"].sum()
+    assert within + out == n
+    assert out == table["trips_in"].sum()
+    assert sorted(table["community"]) == sorted(set(communities))
+    assert table["total_stations"].sum() == len(GROUP_IDS)
+    assert table["new_stations"].sum() == sum(is_new)
+    assert intra_community_share(table) == within / n

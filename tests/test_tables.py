@@ -86,7 +86,7 @@ def test_community_tables_layout(pipeline_small, name, gran):
     pdf = getattr(tables, name)(pipeline_small)
     run = pipeline_small.communities[gran]
     assert list(pdf["community"]) == list(range(1, run.n_communities + 1))
-    assert pdf["total_stations"].sum() == pipeline_small.station_kinds.count()
+    assert pdf["total_stations"].sum() == len(pipeline_small.selection.station_kinds)
 
 
 def test_headline_keys(pipeline_small):
