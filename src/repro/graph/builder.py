@@ -1,11 +1,16 @@
 """Build the paper's trip graphs from rentals + a location->group map.
 
+- :func:`relabel_pairs` turns cleaning's trips per endpoint-location pair
+  into the trips per directed group pair, on the driver. This is the
+  candidate graph (one row per group pair: 14k rows at SF=1) that Table II
+  and Algorithm 1's degrees read; it starts no Spark job.
 - :func:`trips_with_groups` resolves both rental endpoints to group ids and
   attaches the temporal features (ISO day-of-week 1..7, start hour 0..23).
-- :func:`pair_counts` collects the trips per directed group pair, the
-  small driver-side table (one row per group pair: 14k rows for the
-  candidate graph at SF=1) that Table II and Algorithm 1's degrees read,
-  and for the selected graph Tables III-VI.
+  The pipeline uses it for the selected graph only: the station graphs
+  of the community stage aggregate those trips by day and hour, so they
+  stay in Catalyst.
+- :func:`pair_counts` collects the trips per directed group pair of such
+  trips, the table Tables III-VI read for the selected graph.
 - :func:`graph_stats` computes the Table II measures from that table.
 - :func:`temporal_graph` aggregates trips into a weighted station graph,
   in symmetric form, at one of the paper's three granularities:
@@ -89,10 +94,32 @@ def pair_counts(trips: DataFrame) -> pd.DataFrame:
     return trips.groupBy("src_group", "dst_group").count().toPandas()
 
 
+def relabel_pairs(endpoint_pairs: pd.DataFrame, assignment: pd.DataFrame) -> pd.DataFrame:
+    """Trips per directed group pair, ``(src_group, dst_group, count)``
+    sorted by the pair, from the trips per location pair
+    ``endpoint_pairs`` (``rental_location_id, return_location_id, count``)
+    and the map ``assignment`` (``location_id, group_id``, one row per
+    location). Raises ``ValueError`` if an endpoint is not in the map."""
+    index = pd.Index(assignment["location_id"].to_numpy())
+    groups = assignment["group_id"].to_numpy()
+    ends = [
+        index.get_indexer(endpoint_pairs[c].to_numpy())
+        for c in ("rental_location_id", "return_location_id")
+    ]
+    if any((e < 0).any() for e in ends):
+        raise ValueError("relabel_pairs: an endpoint location has no group")
+    pairs = pd.DataFrame({
+        "src_group": groups[ends[0]],
+        "dst_group": groups[ends[1]],
+        "count": endpoint_pairs["count"].to_numpy(),
+    })
+    return pairs.groupby(["src_group", "dst_group"], as_index=False, sort=True)["count"].sum()
+
+
 def graph_stats(pairs: pd.DataFrame) -> GraphStats:
     """Count nodes/edges/trips of the (multi)graph whose directed group
-    pairs and trip counts are ``pairs`` (from :func:`pair_counts`), with
-    and without self-loops."""
+    pairs and trip counts are ``pairs`` (from :func:`relabel_pairs` or
+    :func:`pair_counts`), with and without self-loops."""
     src, dst = pairs["src_group"], pairs["dst_group"]
     loops = int((src == dst).sum())
     undirected = len({(min(u, v), max(u, v)) for u, v in zip(src, dst)})

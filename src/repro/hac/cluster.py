@@ -1,9 +1,9 @@
 """Candidate-station construction (paper Section IV-A).
 
-The cleaned locations are collected once, as ``(location_id, lat, lon,
-is_station, station_id)``; the fixed stations are the rows flagged
-``is_station``. Every distance test below is :func:`repro.geo.haversine_np`
-on the driver.
+The input is cleaning's pandas table of the cleaned locations,
+``(location_id, lat, lon, is_station, station_id)``; the fixed stations
+are the rows flagged ``is_station``. Every distance test below is
+:func:`repro.geo.haversine_np` on the driver.
 
 Pipeline:
 
@@ -31,10 +31,12 @@ Pipeline:
    the station coordinate.
 
 The assignment and the groups table are built on the driver and stay
-there as pandas frames: Algorithm 1 reads both on the driver, and the
-pipeline hands Spark only the ``(location_id, group_id)`` map its trip
-join reads. The component labels come back from Spark as a local frame
-(a ``LocalRelation``), read with one job.
+there as pandas frames: the candidate graph (a relabelling of cleaning's
+endpoint-pair table) and Algorithm 1 read both on the driver. The stage
+starts one Spark job: the read of the component labels, which
+:func:`repro.graph.components.connected_components` returns as a local
+Spark frame (a ``LocalRelation``); it is called through this module's
+name so that the traced benchmark can keep that frame.
 
 Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``.
 """
@@ -44,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.geo import eps_pairs
 from repro.graph.components import connected_components
@@ -72,16 +73,12 @@ def _sequential_mean(v: pd.Series) -> float:
     return np.cumsum(v.to_numpy())[-1] / len(v)
 
 
-def build_candidates(locations: DataFrame) -> CandidateResult:
+def build_candidates(rows: pd.DataFrame, spark: SparkSession) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
-    cluster. ``locations``: (location_id, lat, lon, is_station,
+    cluster. ``rows`` (pandas): (location_id, lat, lon, is_station,
     station_id), the fixed stations being the rows with ``is_station``.
     Raises ``ValueError`` when there is no fixed station: pre-assignment
     and the groups table need them."""
-    rows = locations.select(
-        "location_id", "lat", "lon", "is_station",
-        F.col("station_id").cast("long").alias("station_id"),
-    ).toPandas()
     st = rows.loc[rows["is_station"], ["station_id", "lat", "lon"]].astype(
         {"station_id": "int64"}
     )
@@ -107,7 +104,7 @@ def build_candidates(locations: DataFrame) -> CandidateResult:
     free_pdf = loc.loc[~assigned]
     src, dst, _ = eps_pairs(lat[~assigned], lon[~assigned], eps_m=MAX_DIAMETER_M)
     ids = free_pdf["location_id"].to_numpy()
-    comp = connected_components(locations.sparkSession, ids, ids[src], ids[dst]).toPandas()
+    comp = connected_components(spark, ids, ids[src], ids[dst]).toPandas()
     pdf = free_pdf.merge(
         comp.rename(columns={"id": "location_id"}), on="location_id"
     ).sort_values(["component", "location_id"], ignore_index=True)

@@ -3,7 +3,9 @@
 Run on the driver on one eps-connected component at a time, so ``n`` is
 small (tens to low hundreds); the O(n^3) worst case of the naive
 Lance-Williams update is irrelevant at that size and keeps the
-implementation dependency-free and auditable.
+implementation dependency-free and auditable. Each merge scans the full
+distance matrix, in which merged-away clusters are rows and columns of
++inf, so no merge copies a submatrix.
 
 Complete linkage: d(A, B) = max over pairs — merging stops when the next
 merge would create a cluster whose *diameter* exceeds the cutoff, which is
@@ -37,23 +39,22 @@ def complete_linkage_labels(
     active = np.ones(n, dtype=bool)
     members: list[list[int]] = [[i] for i in range(n)]
     while True:
-        # smallest inter-cluster (complete-linkage) distance among active
-        sub = np.where(active)[0]
-        if len(sub) < 2:
+        # smallest inter-cluster (complete-linkage) distance: merged-away
+        # rows and columns are +inf, so the first minimum in row-major
+        # order over the whole matrix is the first over the active indices
+        i, j = divmod(int(np.argmin(d)), n)
+        if i == j or d[i, j] > max_diameter_m:  # i == j: all +inf, one cluster
             break
-        dd = d[np.ix_(sub, sub)]
-        flat = np.argmin(dd)
-        i_, j_ = np.unravel_index(flat, dd.shape)
-        if dd[i_, j_] > max_diameter_m:
-            break
-        a, b = int(sub[min(i_, j_)]), int(sub[max(i_, j_)])
-        # merge b into a; complete linkage: new dist = max of the two rows
-        d[a, :] = np.maximum(d[a, :], d[b, :])
-        d[:, a] = d[a, :]
-        d[a, a] = np.inf
-        active[b] = False
-        members[a].extend(members[b])
-        members[b] = []
+        # merge j into i (i < j: the matrix is symmetric); complete
+        # linkage: new dist = max of the two rows
+        d[i, :] = np.maximum(d[i, :], d[j, :])
+        d[:, i] = d[i, :]
+        d[i, i] = np.inf
+        d[j, :] = np.inf
+        d[:, j] = np.inf
+        active[j] = False
+        members[i].extend(members[j])
+        members[j] = []
 
     labels = np.empty(n, dtype=int)
     next_label = 0

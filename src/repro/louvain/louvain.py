@@ -29,6 +29,15 @@ every level runs over integer arrays with ``np.unique``/``bincount``/
   the process recurses until a level improves modularity by no more than
   ``TOL`` (at most ``MAX_LEVELS`` levels).
 
+* **Connected communities** — Louvain can leave a community disconnected
+  (Traag, Waltman & van Eck 2019, "From Louvain to Leiden"). After the
+  last level, each community is split into the connected components of
+  its intra-community edges (:func:`repro.graph.components.component_labels`).
+  The parts of a split community share no edge, so each split raises Q by
+  ``2 tot_a tot_b / (2m)^2``; a partition that is already connected comes
+  back unchanged, with the Q of the last level. Leiden's full refinement
+  phase is left out: it also moves connected partitions.
+
 Vertices are ``0..n-1``. Edges are in symmetric form
 (:func:`repro.graph.builder.temporal_graph`): each undirected non-loop edge
 in both directions, self-loops once.
@@ -38,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.graph.components import component_labels
 
 TOL = 1e-7
 MAX_ROUNDS = 40
@@ -73,11 +84,12 @@ def modularity(src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
 
 
 def louvain(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int) -> LouvainResult:
-    """Run Louvain on the symmetric graph over vertices ``0..n-1``. Vertices
-    without edges stay singletons."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    weight = np.asarray(weight, dtype=np.float64)
+    """Run Louvain on the symmetric graph over vertices ``0..n-1``, then
+    split every community into its connected parts. Vertices without
+    edges stay singletons."""
+    src = src0 = np.asarray(src, dtype=np.int64)
+    dst = dst0 = np.asarray(dst, dtype=np.int64)
+    weight = weight0 = np.asarray(weight, dtype=np.float64)
     mapping = np.arange(n)  # original vertex -> current super-node
     best_q = modularity(src, dst, weight, mapping)
     levels = 0
@@ -93,11 +105,16 @@ def louvain(src: np.ndarray, dst: np.ndarray, weight: np.ndarray, n: int) -> Lou
         mapping = comm[mapping]
         src, dst, weight = _aggregate(src, dst, weight, comm, n)
 
-    # relabel 0..k-1 in order of each community's minimum member
-    _, first, inverse = np.unique(mapping, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return LouvainResult(community=rank[inverse], modularity=best_q, levels=levels)
+    # split each community into the connected components of its intra
+    # edges, labelled 0..k-1 in order of each part's minimum member; Q is
+    # recomputed only if some community split
+    intra = mapping[src0] == mapping[dst0]
+    parts, community = np.unique(
+        component_labels(n, src0[intra], dst0[intra]), return_inverse=True
+    )
+    if len(parts) > len(np.unique(mapping)):
+        best_q = modularity(src0, dst0, weight0, community)
+    return LouvainResult(community=community, modularity=best_q, levels=levels)
 
 
 def _local_moving(src, dst, weight, n) -> tuple[np.ndarray, bool]:

@@ -8,25 +8,36 @@ Removed entries:
 5. Rentals whose rental/return location id is not in the Location table.
 6. Locations never referenced by any (surviving) rental.
 
-All rule evaluation happens in Catalyst (joins/filters); only the Table I
-counts are collected, by one Spark action once the cleaned tables exist:
-one global aggregate over the union of the raw and the cleaned locations
-and rentals, counting stations, locations and rentals of each with
-``count_if``.
+Rules 1-5 run in Catalyst: a rental survives iff both endpoint ids are
+present and semi-join the locations that pass rules 1-3. The semi-joins
+broadcast those ids (~14k at SF=1), so the rules shuffle no rental row.
+The cleaned rentals are a lazy local checkpoint. Three Spark actions
+follow, in this order:
 
-The semi-joins broadcast their right side, so the rules shuffle no row:
-rules 1-5 check both rental endpoints against the good location ids
-(~14k at SF=1), and rule 6 checks the good locations against the
-surviving rentals' endpoint ids, duplicates included (a semi-join needs
-no ``distinct``). Both cleaned tables are local checkpoints filled by
-their first reader, not by a job of their own: rule 6's broadcast of the
-rental endpoints fills the rentals' checkpoint, so the two endpoint
-semi-joins run once, and the Table I aggregate fills the locations'.
+- the trips per endpoint pair, ``(rental_location_id, return_location_id,
+  count)``: one ``groupBy(...).count()`` over the cleaned rentals,
+  collected as :attr:`CleanResult.endpoint_pairs` (about one row per trip
+  at SF=1). It is the cleaned rentals' first reader, so it fills their
+  checkpoint. The stages before selection read only this table: the
+  candidate graph is its relabelling by HAC's location -> group map
+  (:func:`repro.graph.builder.relabel_pairs`);
+- the locations that pass rules 1-3, ``(location_id, lat, lon,
+  is_station, station_id)``, collected as they are. Rule 6 keeps, on the
+  driver, those that are an endpoint of some pair:
+  :attr:`CleanResult.locations`, the table HAC reads;
+- Table I's raw counts and the cleaned-rental count: one global aggregate
+  over the raw tables and the cleaned rentals, each row tagged with its
+  table and counted with ``count_if``. The cleaned-rental count is taken
+  apart from the pair table, so the trip-conservation checks compare it
+  with a count made independently of the pairs. The clean station and
+  location counts are read off the pandas table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -35,10 +46,15 @@ from repro.moby.generator import DUBLIN_BBOX, SEA_LAT, SEA_LON_MIN
 
 @dataclass(frozen=True)
 class CleanResult:
-    """Cleaned tables plus the Table I measures."""
+    """Cleaned tables plus the Table I measures. ``locations`` (pandas):
+    ``(location_id, lat, lon, is_station, station_id)`` in the raw table's
+    row order; ``rentals`` (Spark): the cleaned rentals; ``endpoint_pairs``
+    (pandas): their trips per ``(rental_location_id, return_location_id)``
+    in ``count``."""
 
-    locations: DataFrame
+    locations: pd.DataFrame
     rentals: DataFrame
+    endpoint_pairs: pd.DataFrame
     raw_stations: int
     raw_rentals: int
     raw_locations: int
@@ -63,31 +79,25 @@ def on_land(lat_col, lon_col):
 
 
 def _table1_counts(
-    raw: tuple[DataFrame, DataFrame], cleaned: tuple[DataFrame, DataFrame]
-) -> tuple[int, ...]:
-    """The ``(stations, rentals, locations)`` row counts of the raw, then of
-    the cleaned ``(locations, rentals)`` tables, taken by one Spark action:
-    one global aggregate over the four tables' rows, each tagged with its
-    table, so a single exchange serves them all."""
+    locations: DataFrame, rentals: DataFrame, clean_rentals: DataFrame
+) -> tuple[int, int, int, int]:
+    """The raw ``(stations, rentals, locations)`` row counts and the
+    cleaned-rental count, taken by one Spark action: one global aggregate
+    over the three tables' rows, each tagged with its table, so a single
+    exchange serves them all."""
 
-    def tagged(locations: DataFrame, rentals: DataFrame, is_clean: bool) -> DataFrame:
-        return locations.select(
-            F.lit(is_clean).alias("is_clean"), "is_station", F.lit(True).alias("is_location")
-        ).unionByName(
-            rentals.select(
-                F.lit(is_clean).alias("is_clean"),
-                F.lit(False).alias("is_station"),
-                F.lit(False).alias("is_location"),
-            )
-        )
+    def tagged(df: DataFrame, table: int, is_station) -> DataFrame:
+        return df.select(F.lit(table).alias("table"), is_station.alias("is_station"))
 
-    rows = tagged(*raw, False).unionByName(tagged(*cleaned, True))
+    rows = tagged(locations, 0, F.col("is_station")).unionByName(
+        tagged(rentals, 1, F.lit(False))
+    ).unionByName(tagged(clean_rentals, 2, F.lit(False)))
+    table = F.col("table")
     row = rows.agg(
-        *(
-            F.count_if((F.col("is_clean") == is_clean) & cond)
-            for is_clean in (False, True)
-            for cond in (F.col("is_station"), ~F.col("is_location"), F.col("is_location"))
-        )
+        F.count_if((table == 0) & F.col("is_station")),
+        F.count_if(table == 1),
+        F.count_if(table == 0),
+        F.count_if(table == 2),
     ).first()
     return tuple(row)
 
@@ -107,11 +117,10 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         F.col("rental_location_id").isNotNull()
         & F.col("return_location_id").isNotNull()
     )
-    # localCheckpoint (not cache): every downstream stage joins these
-    # tables repeatedly and nests them in further plans — materialising
-    # them keeps all later logical plans shallow. Lazily: rule 6 below
-    # reads the rentals first and fills their checkpoint, so the two
-    # semi-joins run once.
+    # localCheckpoint (not cache): the selected trips join these rentals
+    # and nest them in further plans — materialising them keeps those
+    # plans shallow. Lazily: the endpoint-pair collect below reads them
+    # first and fills the checkpoint, so the two semi-joins run once.
     r = r.join(
         F.broadcast(good_ids.withColumnRenamed("location_id", "rental_location_id")),
         "rental_location_id",
@@ -121,16 +130,29 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         "return_location_id",
         "left_semi",
     ).localCheckpoint(eager=False)
+    ends = ["rental_location_id", "return_location_id"]
+    pairs = r.select(*(F.col(c).cast("long").alias(c) for c in ends)).groupBy(*ends).count()
+    endpoint_pairs = pairs.toPandas()
 
-    # Rule 6: drop locations never referenced by a surviving rental. The
-    # Table I aggregate below fills this checkpoint.
-    refs = r.select(F.col("rental_location_id").alias("location_id")).unionByName(
-        r.select(F.col("return_location_id").alias("location_id"))
-    )
-    loc_clean = good_loc.join(F.broadcast(refs), "location_id", "left_semi").localCheckpoint(
-        eager=False
-    )
+    # Rule 6: drop locations never referenced by a surviving rental.
+    good = good_loc.select(
+        "location_id", "lat", "lon", "is_station",
+        F.col("station_id").cast("long").alias("station_id"),
+    ).toPandas()
+    referenced = np.unique(endpoint_pairs[ends].to_numpy())
+    loc_clean = good[good["location_id"].isin(referenced)].reset_index(drop=True)
 
-    # the counts come in CleanResult's field order
-    counts = _table1_counts((locations, rentals), (loc_clean, r))
-    return CleanResult(loc_clean, r, *counts)
+    raw_stations, raw_rentals, raw_locations, clean_rentals = _table1_counts(
+        locations, rentals, r
+    )
+    return CleanResult(
+        locations=loc_clean,
+        rentals=r,
+        endpoint_pairs=endpoint_pairs,
+        raw_stations=raw_stations,
+        raw_rentals=raw_rentals,
+        raw_locations=raw_locations,
+        clean_stations=int(loc_clean["is_station"].sum()),
+        clean_rentals=clean_rentals,
+        clean_locations=len(loc_clean),
+    )

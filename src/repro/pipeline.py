@@ -6,15 +6,24 @@ Algorithm 1 selection (Table III) -> Louvain on G_Basic/G_Day/G_Hour
 (Tables IV/V/VI). Each stage's outputs are exposed on the result object
 so tests and ``perfbench/`` can exercise them independently.
 
-HAC and Algorithm 1 hand their tables to each other as pandas, on the
-driver. Spark receives only the frames a Spark join reads, each built
-here from pandas through Arrow with an explicit schema: the candidate
-and the final ``(location_id, group_id)`` maps that resolve the rentals
-to groups. Both maps (one row per location) are broadcast, so resolving
-the rentals shuffles none. The selected trips are a local checkpoint
-filled by their first reader, the collect of their pair counts here, not
-by a job of their own. Table III and the community tables (IV-VI) are
-computed on the driver from those pair counts.
+Cleaning, HAC and Algorithm 1 hand their tables to each other as
+pandas, on the driver. The candidate graph is cleaning's collected
+endpoint-pair table relabelled by HAC's location -> group map
+(:func:`repro.graph.builder.relabel_pairs`), so no Spark job runs between
+HAC and the selected graph.
+
+The selected side stays in Catalyst: the community stage's station
+graphs aggregate the selected trips by day and hour in Spark, so the
+rentals are resolved to groups again, by a broadcast join with
+Algorithm 1's final ``(location_id, group_id)`` map (built here from
+pandas through Arrow with an explicit schema). The selected trips are a
+local checkpoint filled by their first reader, the collect of their pair
+counts here, not by a job of their own; the station graphs then read the
+checkpoint. Table III and the community tables (IV-VI) are computed on
+the driver from those pair counts. Relabelling the endpoint pairs would
+give the same pair counts, but would leave the checkpoint to be filled
+inside the community stage; the selected side moves to the driver with
+the station graphs, as one aggregate (ROADMAP item 4).
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ from repro.graph.builder import (
     GraphStats,
     graph_stats,
     pair_counts,
+    relabel_pairs,
     temporal_graph,
     trips_with_groups,
 )
@@ -95,14 +105,10 @@ def run_pipeline(
     data = data or generate(spark, cfg or paper_config())
     cleaned = clean(data.locations, data.rentals)
 
-    candidates = build_candidates(cleaned.locations)
-    # Table II and Algorithm 1 read the candidate graph from one collected
-    # pair table, so its trips are not materialised.
-    candidate_map = spark.createDataFrame(
-        candidates.assignment[["location_id", "group_id"]],
-        schema="location_id long, group_id string",
-    )
-    candidate_pairs = pair_counts(trips_with_groups(cleaned.rentals, F.broadcast(candidate_map)))
+    candidates = build_candidates(cleaned.locations, spark)
+    # Table II and Algorithm 1 read the candidate graph as a pair table,
+    # relabelled on the driver, so its trips are not materialised.
+    candidate_pairs = relabel_pairs(cleaned.endpoint_pairs, candidates.assignment)
     candidate_stats = graph_stats(candidate_pairs)
 
     selection = select_stations(candidates.groups, candidate_pairs, candidates.assignment)

@@ -1,7 +1,9 @@
 """The six cleaning rules (Section III) — each rule individually on
 hand-built dirty tables, plus Table-I-delta consistency on the generator
 output (the deltas are exact by construction at every scale factor;
-SF=0.05 keeps the suite fast while covering the same code path)."""
+SF=0.05 keeps the suite fast while covering the same code path) and
+DuckDB oracles for the cleaned locations (rule 6) and the endpoint-pair
+table."""
 from __future__ import annotations
 
 import pandas as pd
@@ -86,13 +88,17 @@ def test_rule6_cascade_after_rental_removal(spark):
 
 def test_nothing_survives(spark):
     """No good location: both broadcast semi-joins see an empty side, and
-    the cleaned tables and counts are empty."""
+    the cleaned tables, the endpoint-pair table and the counts are
+    empty."""
     locs = [_loc_row(1, lat=51.9, lon=-8.5, is_station=True, station_id=1), _loc_row(2, lat=None)]
     rentals = [_rental_row(1, 1, 2), _rental_row(2, 1, None)]
     res = clean(*_frames(spark, locs, rentals))
     assert (res.raw_stations, res.raw_rentals, res.raw_locations) == (1, 2, 2)
     assert (res.clean_stations, res.clean_rentals, res.clean_locations) == (0, 0, 0)
-    assert res.rentals.count() == res.locations.count() == 0
+    assert res.rentals.count() == len(res.locations) == len(res.endpoint_pairs) == 0
+    assert list(res.endpoint_pairs.columns) == [
+        "rental_location_id", "return_location_id", "count"
+    ]
 
 
 def test_bad_station_removed_from_station_count(spark):
@@ -128,15 +134,64 @@ def test_table1_deltas_on_generated_data(moby_small, cleaned_small):
     assert res.clean_stations == 92
 
 
-def test_clean_rentals_reference_only_clean_locations(cleaned_small):
+def test_clean_rentals_reference_only_clean_locations(spark, cleaned_small):
     res = cleaned_small
-    loc_ids = res.locations.select("location_id")
+    loc_ids = spark.createDataFrame(res.locations[["location_id"]])
     bad = res.rentals.join(
         loc_ids.withColumnRenamed("location_id", "rental_location_id"),
         "rental_location_id",
         "left_anti",
     )
     assert bad.count() == 0
+
+
+# Rule 6 as SQL: the good locations (rules 1-3) that some surviving rental
+# (rules 4-5) starts or ends at, and the surviving rentals per endpoint pair.
+GOOD_LOC_SQL = """
+SELECT * FROM locations
+WHERE lat IS NOT NULL AND lon IS NOT NULL
+  AND lat BETWEEN 53.15 AND 53.50 AND lon BETWEEN -6.60 AND -5.95
+  AND NOT (lon > -6.09 AND lat > 53.25 AND lat < 53.45)
+"""
+SURVIVING_SQL = f"""
+SELECT r.* FROM rentals r
+WHERE r.rental_location_id IN (SELECT location_id FROM ({GOOD_LOC_SQL}))
+  AND r.return_location_id IN (SELECT location_id FROM ({GOOD_LOC_SQL}))
+"""
+RULE6_SQL = f"""
+SELECT g.location_id, g.lat, g.lon, g.is_station, g.station_id
+FROM ({GOOD_LOC_SQL}) g
+WHERE g.location_id IN (SELECT rental_location_id FROM ({SURVIVING_SQL}))
+   OR g.location_id IN (SELECT return_location_id FROM ({SURVIVING_SQL}))
+"""
+PAIRS_SQL = f"""
+SELECT CAST(rental_location_id AS BIGINT) AS rental_location_id,
+       CAST(return_location_id AS BIGINT) AS return_location_id,
+       COUNT(*) AS count
+FROM ({SURVIVING_SQL}) GROUP BY 1, 2
+"""
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_rule6_and_endpoint_pairs_match_oracle(spark, moby_small, cleaned_small, permuted):
+    """DuckDB recomputes rule 6 (the good locations referenced by a
+    surviving rental) and the endpoint-pair table from the raw tables, on
+    the SF=0.05 data and on a row-permuted copy of it; the clean station
+    and location counts are the oracle table's."""
+    locations, rentals = moby_small.locations_pdf, moby_small.rentals_pdf
+    res = cleaned_small
+    if permuted:
+        locations = locations.sample(frac=1.0, random_state=5)
+        rentals = rentals.sample(frac=1.0, random_state=6)
+        res = clean(
+            spark.createDataFrame(locations, moby_small.locations.schema),
+            spark.createDataFrame(rentals, moby_small.rentals.schema),
+        )
+    assert_equivalent(res.locations, RULE6_SQL, locations=locations, rentals=rentals)
+    assert_equivalent(res.endpoint_pairs, PAIRS_SQL, locations=locations, rentals=rentals)
+    assert res.clean_locations == len(res.locations) < len(locations)
+    assert res.clean_stations == res.locations["is_station"].sum() == 92
+    assert res.endpoint_pairs["count"].sum() == res.clean_rentals
 
 
 def test_clean_counts_match_oracle(spark, moby_small, cleaned_small):
@@ -160,6 +215,10 @@ def _rows(df):
     return sorted(tuple(r) for r in df.collect())
 
 
+def _sorted(pdf):
+    return pdf.sort_values(list(pdf.columns[:2]), ignore_index=True)
+
+
 def test_clean_independent_of_row_order_and_partitions(spark, moby_small, cleaned_small):
     """A row-shuffled copy of the raw tables cleans to the same rows and
     Table I counts at 1 and 7 shuffle partitions."""
@@ -179,7 +238,10 @@ def test_clean_independent_of_row_order_and_partitions(spark, moby_small, cleane
             spark.conf.set(key, parts)
             got = clean(locations, rentals)
             assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
-            for table in ("locations", "rentals"):
-                assert _rows(getattr(got, table)) == _rows(getattr(want, table))
+            assert _rows(got.rentals) == _rows(want.rentals)
+            for table in ("locations", "endpoint_pairs"):
+                pd.testing.assert_frame_equal(
+                    _sorted(getattr(got, table)), _sorted(getattr(want, table))
+                )
     finally:
         spark.conf.set(key, old)

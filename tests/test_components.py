@@ -1,8 +1,8 @@
 """Connected components: the numpy labelling vs a pure-Python union-find
 reference, plus the frame of the array entry point. Also checks that the frames
 built on the driver (these labels, ``louvain_groups``' assignment and the
-pipeline's location -> group maps) are local relations, and that both
-maps are broadcast."""
+pipeline's final location -> group map) are local relations, and that the
+map is broadcast."""
 from __future__ import annotations
 
 import numpy as np
@@ -85,9 +85,10 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
     ``LocalRelation``. Built from a Python list they would be a
     ``LogicalRDD``, read through a forked Python worker. Checked: these
     labels, ``louvain_groups``' assignment, and the frames the pipeline
-    hands Spark: the candidate and final location -> group maps (caught
-    on their way into ``trips_with_groups``). Both maps arrive with a
-    broadcast hint, so resolving the rentals shuffles none of them."""
+    hands Spark: the final location -> group map (caught on its way into
+    ``trips_with_groups``, which the pipeline calls once: the candidate
+    graph is relabelled on the driver). The map arrives with a broadcast
+    hint, so resolving the rentals shuffles none of them."""
     e = pd.DataFrame({"src": ["a", "b", "c", "d"], "dst": ["b", "a", "d", "c"], "weight": 1.0})
     labels = connected_components(
         spark, np.arange(1, 5), np.array([1, 2, 3, 4]), np.array([2, 1, 4, 3])
@@ -104,11 +105,11 @@ def test_driver_frames_are_local_relations(spark, moby_small, monkeypatch):
 
     monkeypatch.setattr(pipeline, "trips_with_groups", spy)
     r = pipeline.run_pipeline(spark, data=moby_small, granularities=())
-    assert len(maps) == 2
+    assert len(maps) == 1
     for df in maps:
         assert df.columns == ["location_id", "group_id"]
         assert df.count() == r.cleaned.clean_locations
-    assert [_plan_leaf(df) for df in maps] == ["LocalRelation"] * 2
+    assert [_plan_leaf(df) for df in maps] == ["LocalRelation"]
     for df in maps:
         plan = df._jdf.queryExecution().analyzed()
         assert plan.nodeName() == "ResolvedHint"

@@ -9,7 +9,6 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.geo import cell_size_deg, eps_pairs, haversine_np, pairwise_haversine_np
 from repro.hac import cluster
@@ -17,6 +16,7 @@ from repro.hac.cluster import PRE_ASSIGN_M, build_candidates
 from repro.hac.linkage import complete_linkage_labels
 from repro.oracle import assert_equivalent
 from tests.test_builder import _count_nodes
+from tests.test_pipeline_integration import _count_jobs
 
 LAT0, LON0 = 53.34, -6.27
 DEG_PER_M_LAT = 1 / 111_194.9
@@ -47,15 +47,8 @@ def _with_stations(pts: pd.DataFrame, st: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _locations(spark, pts: pd.DataFrame, st: pd.DataFrame) -> DataFrame:
-    return spark.createDataFrame(
-        _with_stations(pts, st),
-        schema="location_id long, lat double, lon double, is_station boolean, station_id long",
-    )
-
-
 @pytest.fixture()
-def scene(spark):
+def scene():
     """One station; one location 30 m from it (pre-assigned); a tight
     cloud of 3 points ~40 m across 500 m away (one candidate cluster);
     two points 150 m apart in the same eps-component? No — 150 m > 100 m
@@ -74,11 +67,11 @@ def scene(spark):
         }
     )
     st = pd.DataFrame({"station_id": [7], "lat": [station[0]], "lon": [station[1]]})
-    return _locations(spark, pts, st)
+    return _with_stations(pts, st)
 
 
-def test_preassignment_and_clusters(scene):
-    res = build_candidates(scene)
+def test_preassignment_and_clusters(spark, scene):
+    res = build_candidates(scene, spark)
     a = {r.location_id: (r.group_id, r.kind) for r in res.assignment.itertuples()}
     assert a[STATION_LOC + 7] == ("S7", "station")  # the station itself
     assert a[1] == ("S7", "station")  # within 50 m of the station
@@ -92,14 +85,14 @@ def test_preassignment_and_clusters(scene):
     assert a[2][0] not in (a[5][0], a[6][0])
 
 
-def test_every_location_assigned_exactly_once(scene):
-    res = build_candidates(scene)
-    assert len(res.assignment) == scene.count()
+def test_every_location_assigned_exactly_once(spark, scene):
+    res = build_candidates(scene, spark)
+    assert len(res.assignment) == len(scene)
     assert res.assignment["location_id"].is_unique
 
 
-def test_groups_table_contents(scene):
-    res = build_candidates(scene)
+def test_groups_table_contents(spark, scene):
+    res = build_candidates(scene, spark)
     groups = res.groups
     kinds = dict(zip(groups["group_id"], groups["kind"]))
     assert kinds["S7"] == "station"
@@ -126,7 +119,7 @@ def test_candidate_centroid_is_member_mean(spark, tight_cloud):
     """The centroid is the sum of the member coordinates in location-id
     order divided by the count, to the last bit."""
     pdf, st = tight_cloud
-    res = build_candidates(_locations(spark, pdf, st))
+    res = build_candidates(_with_stations(pdf, st), spark)
     (row,) = res.groups[res.groups["kind"] == "candidate"].to_dict("records")
     members = pdf.sort_values("location_id")
     for col in ("lat", "lon"):
@@ -142,10 +135,10 @@ def test_candidate_centroid_is_member_mean(spark, tight_cloud):
 def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
     """Paper Rule 1 on real generated data: no two members of any
     candidate cluster are more than 100 m apart."""
-    res = build_candidates(cleaned_small.locations)
+    res = build_candidates(cleaned_small.locations, spark)
     a = res.assignment
     pdf = a.loc[a["kind"] == "candidate", ["location_id", "group_id"]].merge(
-        cleaned_small.locations.select("location_id", "lat", "lon").toPandas(), on="location_id"
+        cleaned_small.locations[["location_id", "lat", "lon"]], on="location_id"
     )
     for gid, grp in pdf.groupby("group_id"):
         if len(grp) > 1:
@@ -160,16 +153,16 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
     """Against a numpy brute force over all stations: every location
     within 50 m of a station is assigned to the nearest one (ties to the
     smaller id), and every other location is a candidate."""
-    res = build_candidates(cleaned_small.locations)
+    res = build_candidates(cleaned_small.locations, spark)
     got = res.assignment.merge(
-        cleaned_small.locations.select("location_id", "lat", "lon").toPandas(),
+        cleaned_small.locations[["location_id", "lat", "lon"]],
         on="location_id", suffixes=("_got", ""),
     )
     # one row per cleaned location, carrying that location's coordinates
     assert len(got) == len(res.assignment) == cleaned_small.clean_locations
     assert (got.lat_got == got.lat).all() and (got.lon_got == got.lon).all()
     st = (
-        cleaned_small.locations.filter("is_station").toPandas()
+        cleaned_small.locations[cleaned_small.locations["is_station"]]
         .astype({"station_id": "int64"}).sort_values("station_id", ignore_index=True)
     )
     d = haversine_np(
@@ -184,15 +177,15 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
     assert (got.group_id.to_numpy()[near] == nearest[near]).all()
 
 
-def test_build_candidates_requires_a_station(scene):
+def test_build_candidates_requires_a_station(spark, scene):
     with pytest.raises(ValueError, match="station"):
-        build_candidates(scene.filter(~F.col("is_station")))
+        build_candidates(scene[~scene["is_station"]], spark)
 
 
-def test_every_location_near_a_station(scene):
+def test_every_location_near_a_station(spark, scene):
     """No free point: the candidate side is empty and ``groups`` holds
     only the stations."""
-    res = build_candidates(scene.filter(F.col("location_id").isin(1, STATION_LOC + 7)))
+    res = build_candidates(scene[scene["location_id"].isin([1, STATION_LOC + 7])], spark)
     assert res.assignment.dtypes.astype(str).to_dict() == {
         "location_id": "int64", "group_id": "object", "kind": "object",
         "lat": "float64", "lon": "float64",
@@ -257,7 +250,7 @@ def test_preassign_matches_sql_oracle(spark, preassign_scene):
     assert 49.8 < boundary[0] < 50.0 < boundary[1] < 50.2
     assert (assigned & np.isin(st.station_id.to_numpy()[nearest], [12, 5])).sum() > 10
 
-    res = build_candidates(_locations(spark, pts, st))
+    res = build_candidates(_with_stations(pts, st), spark)
     a = res.assignment
     got = pd.DataFrame({
         "location_id": a["location_id"],
@@ -304,7 +297,7 @@ def test_preassign_picks_nearest_then_smaller_id(spark, nearest_scene):
     tie = pairs.loc[pairs["location_id"] == 2, "dist_m"]
     assert tie.nunique() == 1 and 15 < tie.iloc[0] < 17
 
-    res = build_candidates(_locations(spark, pts, st))
+    res = build_candidates(_with_stations(pts, st), spark)
     a = res.assignment
     kinds = dict(zip(a["location_id"], a["group_id"].where(a["kind"] == "station", "free")))
     assert kinds == {
@@ -320,16 +313,16 @@ def test_preassign_plan_has_no_aggregate(spark, nearest_scene, monkeypatch):
     Spark is a plain read, with no aggregate and no join, hence no
     shuffle."""
     pts, st = nearest_scene
-    locations = _locations(spark, pts, st)
     plans = []
-    original = type(locations).toPandas
+    frame_type = type(spark.range(1))
+    original = frame_type.toPandas
 
     def spy(df):
         plans.append(df._jdf.queryExecution().optimizedPlan())
         return original(df)
 
-    monkeypatch.setattr(type(locations), "toPandas", spy)
-    res = build_candidates(locations)
+    monkeypatch.setattr(frame_type, "toPandas", spy)
+    res = build_candidates(_with_stations(pts, st), spark)
     monkeypatch.undo()
     assert plans
     for plan in plans:
@@ -366,7 +359,7 @@ def _stations():
 
 def _candidates(spark, pdf):
     """The assignment of ``pdf``'s points; the station rows are left out."""
-    a = build_candidates(_locations(spark, pdf, _stations())).assignment
+    a = build_candidates(_with_stations(pdf, _stations()), spark).assignment
     rows = a.loc[a["location_id"].isin(pdf["location_id"]), ["location_id", "group_id", "kind"]]
     return sorted(rows.itertuples(index=False, name=None))
 
@@ -436,23 +429,15 @@ def test_candidates_independent_of_row_order_and_partitions(spark, blobs):
 
 
 def test_build_candidates_job_budget(spark, cleaned_small):
-    """One collect of the cleaned locations and one read of the component
-    labels: both grid joins and the component labelling run on the
-    driver."""
-    sc = spark.sparkContext
-    try:
-        sc.setJobGroup("test-build-candidates", "build_candidates")
-        res = build_candidates(cleaned_small.locations)
-        sc.setJobGroup("test-build-candidates-probe", "one Spark job")
-        spark.range(3).collect()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    tracker = sc.statusTracker()
-    assert tracker.getJobIdsForGroup("test-build-candidates-probe")  # the tracker sees jobs
-    assert 0 < len(tracker.getJobIdsForGroup("test-build-candidates")) <= 2
-    assert len(res.assignment) == cleaned_small.clean_locations
+    """Exactly one Spark job: the read of the component labels. The
+    cleaned locations arrive as pandas, and both grid joins and the
+    component labelling run on the driver."""
+    out = []
+    jobs = _count_jobs(spark, "test-build-candidates", {
+        "build_candidates": lambda: out.append(build_candidates(cleaned_small.locations, spark)),
+    })
+    assert jobs["build_candidates"] == 1
+    assert len(out[0].assignment) == cleaned_small.clean_locations
 
 
 def test_component_frame_counts_the_free_points(spark, cleaned_small, monkeypatch):
@@ -469,7 +454,7 @@ def test_component_frame_counts_the_free_points(spark, cleaned_small, monkeypatc
         return calls[-1]
 
     monkeypatch.setattr(cluster, "connected_components", spy)
-    res = build_candidates(cleaned_small.locations)
+    res = build_candidates(cleaned_small.locations, spark)
     (comp,) = calls
     assert isinstance(comp, DataFrame) and comp.columns == ["id", "component"]
     sizes = [r["count"] for r in comp.groupBy("component").count().collect()]

@@ -40,16 +40,33 @@ def _as_partition(labels):
     return {frozenset(g) for g in groups.values()}
 
 
-@pytest.mark.parametrize("seed,n", [(0, 12), (1, 20), (2, 30), (3, 8), (4, 25)])
-def test_matches_brute_force(seed, n):
-    rng = np.random.default_rng(seed)
-    # two loose patches so both merge and stop paths are exercised
+def _patches(rng, n):
+    """Two loose patches, so both merge and stop paths are exercised."""
     lat = np.concatenate(
         [53.30 + rng.normal(0, 0.0004, n // 2), 53.3100 + rng.normal(0, 0.0004, n - n // 2)]
     )
     lon = np.concatenate(
         [-6.26 + rng.normal(0, 0.0006, n // 2), -6.2550 + rng.normal(0, 0.0006, n - n // 2)]
     )
+    return lat, lon
+
+
+def _grid(rng, n):
+    """Points on random cells of a dyadic grid (~14 m steps over ~110 x
+    90 m), repeats included: pairs with the same offset along a parallel or
+    a meridian are exactly equally far apart, so the merge order rests on
+    the tie-break."""
+    cells = rng.integers(0, [8, 6], size=(n, 2))
+    return 53.25 + cells[:, 0] * 2.0**-13, -6.25 + cells[:, 1] * 2.0**-12
+
+
+@pytest.mark.parametrize("seed,n,layout", [
+    *(pytest.param(seed, n, _patches, id=f"{seed}-{n}")
+      for seed, n in [(0, 12), (1, 20), (2, 30), (3, 8), (4, 25)]),
+    *(pytest.param(seed, n, _grid, id=f"grid-{seed}-{n}") for seed, n in [(5, 30), (6, 40)]),
+])
+def test_matches_brute_force(seed, n, layout):
+    lat, lon = layout(np.random.default_rng(seed), n)
     got = complete_linkage_labels(lat, lon, max_diameter_m=100.0)
     ref = _brute_force_complete_linkage(lat, lon, 100.0)
     assert _as_partition(got) == _as_partition(ref)

@@ -112,3 +112,20 @@ def test_louvain_k2_does_not_swap_forever():
     assert res.community.tolist() == [0, 0]
     assert res.modularity == pytest.approx(0.0)
     assert res.levels == 1
+
+
+def test_louvain_splits_a_disconnected_community():
+    """On this graph the local moves leave vertex 1 (whose only edge goes
+    to 6) in one community with 2 and 3: the community is split into its
+    connected parts, which raises Q, and the labels follow each part's
+    minimum vertex (0 is isolated)."""
+    edges = [
+        (1, 6, 1.0), (2, 2, 8.0), (2, 3, 9.0), (2, 4, 1.0), (2, 5, 9.0),
+        (2, 6, 5.0), (3, 6, 7.0), (4, 5, 4.0), (4, 6, 4.0), (5, 6, 3.0),
+    ]
+    res = louvain(*_symmetric(edges), 7)
+    assert res.community.tolist() == [0, 1, 2, 2, 3, 3, 3]
+    split = dict(enumerate(res.community.tolist()))
+    assert res.modularity == pytest.approx(modularity_ref(edges, split), abs=1e-12)
+    unsplit = {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2}
+    assert res.modularity > modularity_ref(edges, unsplit)

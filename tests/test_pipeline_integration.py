@@ -4,16 +4,25 @@ Nothing here checks the paper-scale shape (3/7/10 communities etc.): no
 test or benchmark runs SF=1, whose numbers are recorded in EXPERIMENTS.md
 from ``jobs/run_all.py``. These are the structural invariants that must
 hold at any scale. Two more tests bound the Spark jobs of the stages
-before the community stage and of the community stage.
+before the community stage and of the community stage, and two more
+compare the pair tables relabelled on the driver with their Spark
+counterparts.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro import tables
-from repro.graph.builder import GRANULARITIES, temporal_graph, trips_with_groups
+from repro.graph.builder import (
+    GRANULARITIES,
+    pair_counts,
+    relabel_pairs,
+    temporal_graph,
+    trips_with_groups,
+)
 from repro.graph.components import component_labels
 from repro.louvain.reference import modularity_ref
 from repro.pipeline import run_communities, run_pipeline
@@ -37,6 +46,33 @@ def test_trips_conserved_through_every_stage(pipeline_small):
     assert r.candidate_stats.n_trips == n
     assert r.selected_trips.count() == n
     assert r.selected_pairs["count"].sum() == n
+
+
+def _sorted_pairs(pairs):
+    return pairs.sort_values(["src_group", "dst_group"], ignore_index=True)
+
+
+def test_candidate_pairs_match_spark_join(spark, pipeline_small):
+    """The candidate graph relabelled on the driver equals the trips of
+    the cleaned rentals resolved to HAC's groups by a broadcast join in
+    Spark and counted per group pair (the path the pipeline used to
+    take)."""
+    r = pipeline_small
+    candidate_map = spark.createDataFrame(
+        r.candidates.assignment[["location_id", "group_id"]],
+        schema="location_id long, group_id string",
+    )
+    want = pair_counts(trips_with_groups(r.cleaned.rentals, F.broadcast(candidate_map)))
+    pd.testing.assert_frame_equal(r.candidate_pairs, _sorted_pairs(want))
+
+
+def test_selected_pairs_are_the_final_relabel(pipeline_small):
+    """Relabelling the endpoint pairs by Algorithm 1's final map gives the
+    selected graph's pair table that the pipeline collects from Spark."""
+    r = pipeline_small
+    final_map = r.selection.final_assignment.rename(columns={"station_group": "group_id"})
+    got = relabel_pairs(r.cleaned.endpoint_pairs, final_map)
+    pd.testing.assert_frame_equal(got, _sorted_pairs(r.selected_pairs))
 
 
 def test_candidate_stats_internal_consistency(pipeline_small):
@@ -96,7 +132,7 @@ def test_selected_are_far_from_stations_and_each_other(pipeline_small):
 
     r = pipeline_small
     sel = r.selection.selected
-    st = r.cleaned.locations.filter("is_station").toPandas()
+    st = r.cleaned.locations[r.cleaned.locations["is_station"]]
     if len(sel) == 0:
         pytest.skip("no stations selected at this scale")
     d_st = haversine_np(
@@ -146,18 +182,12 @@ def test_community_run_invariants(pipeline_small, gran):
     assert run.modularity == pytest.approx(modularity_ref(edges, assign), abs=1e-9)
 
 
-@pytest.mark.parametrize("gran", [
-    pytest.param("basic", marks=pytest.mark.xfail(strict=True, reason=(
-        "Louvain can leave a community disconnected (Traag, Waltman & van Eck "
-        "2019): G_Basic community 1 at SF=0.05 seed 10; ROADMAP item 5 "
-        "(Leiden refinement)"
-    ))),
-    "day",
-    "hour",
-])
+@pytest.mark.parametrize("gran", GRANULARITIES)
 def test_every_community_is_connected(pipeline_small, gran):
     """Every Louvain community induces a connected subgraph: its
-    intra-community edges join all its members."""
+    intra-community edges join all its members. (Before ``louvain``
+    split its communities into connected parts, G_Basic at SF=0.05 seed
+    10 had a disconnected community.)"""
     edges, assign = _station_graph(pipeline_small, gran)
     ids = np.array(sorted(assign))
     community = np.array([assign[i] for i in ids])
@@ -211,10 +241,14 @@ def _count_jobs(spark, prefix: str, steps: dict) -> dict:
 
 
 #: Spark jobs of the stages before the community stage, as measured on the
-#: SF=0.05 data: 4 in cleaning, 2 in HAC, 4 in the trip joins and 2 in the
-#: collect of the selected trips' pair counts, which fills their
-#: checkpoint. Table III reads those pair counts and runs none.
-JOB_BUDGET = 12
+#: SF=0.05 data: 6 in cleaning (the good-id broadcast, the endpoint-pair
+#: collect that fills the cleaned rentals' checkpoint, the good-location
+#: collect and the Table I aggregate), 1 in HAC (the component labels),
+#: none in the candidate graph and Algorithm 1, and 3 in the selected
+#: trips (the final map's broadcast and the collect of their pair counts,
+#: which fills their checkpoint). Table III reads those pair counts and
+#: runs none.
+JOB_BUDGET = 10
 
 #: Spark jobs of one granularity's community stage on the SF=0.05 data:
 #: the 3 of the station graph's edge collect. Louvain, Tables IV-VI and the
@@ -229,6 +263,21 @@ def test_stages_before_communities_job_budget(spark, moby_small):
         "prefix": lambda: tables.table3(run_pipeline(spark, data=moby_small, granularities=())),
     })
     assert 0 < jobs["prefix"] <= JOB_BUDGET
+
+
+def test_candidate_graph_starts_no_job(spark, pipeline_small):
+    """The candidate graph and its Table II stats are computed on the
+    driver from cleaning's endpoint-pair table and HAC's map."""
+    r = pipeline_small
+    out = {}
+    jobs = _count_jobs(spark, "test-candidate-graph-jobs", {
+        "candidate_pairs": lambda: out.update(
+            pairs=relabel_pairs(r.cleaned.endpoint_pairs, r.candidates.assignment)
+        ),
+        "table2": lambda: tables.table2(r),
+    })
+    assert jobs == {"candidate_pairs": 0, "table2": 0}
+    assert out["pairs"]["count"].sum() == r.cleaned.clean_rentals
 
 
 def test_community_stage_job_budget(spark, moby_small):

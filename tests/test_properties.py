@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) for the pure-numpy substrates:
 Haversine metric axioms, integer allocation, complete-linkage invariants,
-suppression invariants, reference-modularity bounds and the community
-tables' sums over pair counts. These run without Spark, so they are cheap
-enough for many examples."""
+suppression invariants, reference-modularity bounds, the community
+tables' sums over pair counts, the relabelling of endpoint pairs to group
+pairs and the connectedness of Louvain's communities. These run without
+Spark, so they are cheap enough for many examples."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,11 +14,15 @@ from hypothesis import strategies as st
 
 from repro.analysis.communities import community_table, intra_community_share
 from repro.geo import haversine_np, pairwise_haversine_np
+from repro.graph.builder import relabel_pairs
+from repro.graph.components import component_labels
 from repro.hac.linkage import complete_linkage_labels
+from repro.louvain.louvain import louvain
 from repro.louvain.reference import louvain_ref, modularity_ref
 from repro.moby.generator import _largest_remainder
 from repro.oracle import assert_equivalent
 from tests.test_analysis import COMMUNITY_SQL
+from tests.test_louvain import _symmetric
 
 lat_st = st.floats(min_value=-89.0, max_value=89.0)
 lon_st = st.floats(min_value=-180.0, max_value=180.0)
@@ -165,3 +170,74 @@ def test_community_table_sums_pair_counts(counts, communities, is_new):
     assert table["total_stations"].sum() == len(GROUP_IDS)
     assert table["new_stations"].sum() == sum(is_new)
     assert intra_community_share(table) == within / n
+
+
+LOCATION_IDS = list(range(101, 109))
+
+RELABEL_SQL = """
+SELECT a.group_id AS src_group, b.group_id AS dst_group, SUM(p.count) AS count
+FROM pairs p
+JOIN assign a ON p.rental_location_id = a.location_id
+JOIN assign b ON p.return_location_id = b.location_id
+GROUP BY a.group_id, b.group_id
+"""
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(LOCATION_IDS), st.sampled_from(LOCATION_IDS)),  # loops included
+        st.integers(min_value=1, max_value=20),
+        min_size=1,
+        max_size=30,
+    ),
+    st.lists(
+        st.sampled_from(GROUP_IDS[:4]), min_size=len(LOCATION_IDS), max_size=len(LOCATION_IDS)
+    ),
+)
+def test_relabel_pairs_matches_join_oracle(counts, groups):
+    """The driver-side relabel of an endpoint-pair table by a location ->
+    group map equals a SQL join and aggregate, comes sorted with one row
+    per group pair, conserves the trips, and raises on an endpoint that
+    the map does not hold."""
+    pairs = pd.DataFrame(
+        [(a, b, n) for (a, b), n in counts.items()],
+        columns=["rental_location_id", "return_location_id", "count"],
+    )
+    assign = pd.DataFrame({"location_id": LOCATION_IDS, "group_id": groups})
+    got = relabel_pairs(pairs, assign)
+    assert_equivalent(got, RELABEL_SQL, pairs=pairs, assign=assign)
+    assert list(got.columns) == ["src_group", "dst_group", "count"]
+    keys = list(zip(got["src_group"], got["dst_group"]))
+    assert keys == sorted(set(keys))
+    assert got["count"].sum() == pairs["count"].sum()
+    missing = pairs["return_location_id"].iloc[-1]
+    with pytest.raises(ValueError, match="no group"):
+        relabel_pairs(pairs, assign[assign["location_id"] != missing])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_louvain_communities_are_connected(seed):
+    """On random weighted graphs (self-loops and isolated vertices
+    included), every community ``louvain`` returns is connected by its
+    intra-community edges, the labels run 0..k-1 in order of each
+    community's minimum vertex, and the reported Q is the reference Q of
+    the returned partition."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    p = rng.uniform(0.05, 0.4)
+    edges = [
+        (i, j, float(rng.integers(1, 10)))
+        for i in range(n) for j in range(i, n) if rng.random() < p
+    ] or [(0, 1, 1.0)]
+    src, dst, weight = _symmetric(edges)
+    res = louvain(src, dst, weight, n)
+    community = res.community
+    intra = community[src] == community[dst]
+    parts = component_labels(n, src[intra], dst[intra])
+    assert len(np.unique(parts)) == len(np.unique(community))
+    _, first = np.unique(community, return_index=True)
+    assert (np.diff(first) > 0).all()
+    assign = dict(enumerate(community.tolist()))
+    assert res.modularity == pytest.approx(modularity_ref(edges, assign), abs=1e-9)
